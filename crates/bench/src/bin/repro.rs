@@ -4,7 +4,6 @@
 //! repro all [--quick] [--out DIR]
 //! repro fig8b fig9a [--quick] [--out DIR]
 //! repro sweep --attack threshold-inhibitory --axis "rel_change=-20%,20%" ...
-//! repro bench [--out DIR]
 //! repro coordinate [--grid NAME]... [--spec FILE]... [--workers N] [--fair] [--store PATH]
 //! repro work --connect HOST:PORT [--threads N] [--retry N] [--backoff MS]
 //! repro submit (--grid NAME | --spec FILE | --attack ... --axis ...) --to HOST:PORT
@@ -18,10 +17,8 @@
 //! paper's reported numbers) and, with `--out`, writes a CSV per
 //! experiment. `sweep` runs an arbitrary declarative N-axis scenario
 //! (attack family × typed axes — see `repro sweep --help` for the
-//! grammar) locally through the same engine. `bench` runs the
-//! performance suite (parallel sweep engine at 1/2/4/8 threads plus the
-//! SNN and SPICE kernels) and writes the machine-readable
-//! `BENCH_sweep.json`. `coordinate`/`work` shard sweep campaigns across
+//! grammar) locally through the same engine.
+//! `coordinate`/`work` shard sweep campaigns across
 //! workers over TCP with checkpoint/resume (see `neurofi-dist`); repeat
 //! `--grid`/`--spec` to queue several campaigns on one worker fleet,
 //! `submit` enqueues another scenario — catalog preset or arbitrary
@@ -43,11 +40,10 @@ use std::time::Instant;
 use neurofi_bench::{run_experiment, ExperimentId, Fidelity};
 
 fn usage() -> &'static str {
-    "usage: repro <all|list|bench|sweep|coordinate|work|submit|serve|status|store|EXPERIMENT...> [--quick] [--out DIR]\n\
+    "usage: repro <all|list|sweep|coordinate|work|submit|serve|status|store|EXPERIMENT...> [--quick] [--out DIR]\n\
      experiments: fig3 fig4 fig5b fig5c fig6a fig6b fig6c fig7b fig8a fig8b \
      fig8c fig9a fig9b fig9c fig10c defenses overheads ext-glitch ext-weightfaults\n\
      sweep: run a declarative N-axis scenario locally (see `repro sweep --help`)\n\
-     bench: performance suite (sweep engine + kernels) -> BENCH_sweep.json\n\
      coordinate/work/submit: distributed sweep campaigns with live \
      submission of arbitrary scenarios (see `repro coordinate --help`, \
      `repro submit --help`)\n\
@@ -80,13 +76,11 @@ fn main() -> ExitCode {
     let mut fidelity = Fidelity::Full;
     let mut out_dir: Option<PathBuf> = None;
     let mut selected: Vec<ExperimentId> = Vec::new();
-    let mut run_bench = false;
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--quick" => fidelity = Fidelity::Quick,
             "--full" => fidelity = Fidelity::Full,
-            "bench" => run_bench = true,
             "--out" => match iter.next() {
                 Some(dir) => out_dir = Some(PathBuf::from(dir)),
                 None => {
@@ -114,7 +108,7 @@ fn main() -> ExitCode {
             },
         }
     }
-    if selected.is_empty() && !run_bench {
+    if selected.is_empty() {
         eprintln!("no experiments selected\n{}", usage());
         return ExitCode::FAILURE;
     }
@@ -123,29 +117,6 @@ fn main() -> ExitCode {
         if let Err(e) = std::fs::create_dir_all(dir) {
             eprintln!("cannot create output directory {}: {e}", dir.display());
             return ExitCode::FAILURE;
-        }
-    }
-
-    if run_bench {
-        let started = Instant::now();
-        let report = neurofi_bench::run_perf_suite();
-        let path = out_dir
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("."))
-            .join("BENCH_sweep.json");
-        let json = report.to_json();
-        println!("{json}");
-        if let Err(e) = std::fs::write(&path, format!("{json}\n")) {
-            eprintln!("cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "_bench completed in {:.1?}; wrote {}_\n",
-            started.elapsed(),
-            path.display()
-        );
-        if selected.is_empty() {
-            return ExitCode::SUCCESS;
         }
     }
 

@@ -4,6 +4,7 @@ pub mod circuits;
 pub mod extensions;
 pub mod network;
 
+use neurofi_core::scenario::{FIG8_FRACTIONS, FIG8_REL_CHANGES};
 use neurofi_core::{Error, Table};
 
 /// Reproduction fidelity.
@@ -16,6 +17,15 @@ pub enum Fidelity {
 }
 
 impl Fidelity {
+    /// The threshold sweep grid (Figs. 8a–c) at this fidelity, as
+    /// `(rel_changes, fractions)`.
+    pub fn threshold_grid(self) -> (&'static [f64], &'static [f64]) {
+        match self {
+            Fidelity::Quick => (&[-0.20, 0.20], &[0.0, 0.5, 1.0]),
+            Fidelity::Full => (&FIG8_REL_CHANGES, &FIG8_FRACTIONS),
+        }
+    }
+
     /// The VDD sweep grid at this fidelity.
     pub fn vdd_grid(self) -> Vec<f64> {
         match self {

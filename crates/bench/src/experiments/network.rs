@@ -8,11 +8,8 @@ use neurofi_core::attacks::ExperimentSetup;
 use neurofi_core::defense::{
     defended_vdd_attack_with_baseline, undefended_vdd_attack_with_baseline, Defense,
 };
-use neurofi_core::sweep::{
-    theta_sweep_cached, threshold_sweep_cached, vdd_sweep_cached, BaselineCache, SweepConfig,
-    SweepResult,
-};
-use neurofi_core::{Error, Table, TargetLayer};
+use neurofi_core::sweep::{scenario_sweep_cached, BaselineCache, SweepResult};
+use neurofi_core::{Error, ScenarioSpec, Table, TargetLayer};
 
 use super::Fidelity;
 
@@ -32,13 +29,6 @@ fn shared_cache(fidelity: Fidelity) -> &'static BaselineCache {
     match fidelity {
         Fidelity::Quick => QUICK.get_or_init(|| BaselineCache::new(&setup(Fidelity::Quick))),
         Fidelity::Full => FULL.get_or_init(|| BaselineCache::new(&setup(Fidelity::Full))),
-    }
-}
-
-fn sweep_config(fidelity: Fidelity) -> SweepConfig {
-    match fidelity {
-        Fidelity::Quick => SweepConfig::quick_grid(),
-        Fidelity::Full => SweepConfig::paper_grid(),
     }
 }
 
@@ -64,7 +54,8 @@ pub fn fig7b(fidelity: Fidelity) -> Result<Table, Error> {
         Fidelity::Quick => vec![-0.20, 0.20],
         Fidelity::Full => vec![-0.20, -0.10, -0.05, 0.05, 0.10, 0.20],
     };
-    let result = theta_sweep_cached(shared_cache(fidelity), &thetas, &[42])?;
+    let result =
+        scenario_sweep_cached(shared_cache(fidelity), &ScenarioSpec::theta(&thetas, &[42]))?;
     let mut table = Table::new(
         "Fig. 7b — Attack 1: current-driver (theta) corruption vs accuracy",
         &["theta change", "fraction", "accuracy", "vs baseline"],
@@ -83,8 +74,9 @@ fn threshold_figure(
     title: &str,
     paper_worst: &str,
 ) -> Result<Table, Error> {
-    let config = sweep_config(fidelity);
-    let result = threshold_sweep_cached(shared_cache(fidelity), layer, &config)?;
+    let (rel_changes, fractions) = fidelity.threshold_grid();
+    let spec = ScenarioSpec::threshold(layer, rel_changes, fractions, &[42]);
+    let result = scenario_sweep_cached(shared_cache(fidelity), &spec)?;
     let mut table = Table::new(
         title,
         &["threshold change", "fraction", "accuracy", "vs baseline"],
@@ -134,7 +126,8 @@ pub fn fig9a(fidelity: Fidelity) -> Result<Table, Error> {
             neurofi_analog::characterize::measured_transfer_table(&[0.8, 0.9, 1.0, 1.1, 1.2])?
         }
     };
-    let result = vdd_sweep_cached(shared_cache(fidelity), &vdds, &transfer, &[42])?;
+    let spec = ScenarioSpec::vdd(&vdds, &transfer, &[42]);
+    let result = scenario_sweep_cached(shared_cache(fidelity), &spec)?;
     let mut table = Table::new(
         "Fig. 9a — Attack 5: global VDD manipulation (black box)",
         &["vdd (V)", "accuracy", "vs baseline", "paper"],
@@ -249,7 +242,6 @@ pub fn defenses(fidelity: Fidelity) -> Result<Table, Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neurofi_core::sweep::threshold_sweep_cached;
 
     // Full network sweeps are minutes-long; these tests exercise the
     // table plumbing at a deliberately tiny scale.
@@ -265,16 +257,9 @@ mod tests {
     #[test]
     fn sweep_tables_have_expected_shape() {
         let s = tiny(Fidelity::Quick);
-        let result = threshold_sweep_cached(
-            &BaselineCache::new(&s),
-            Some(TargetLayer::Inhibitory),
-            &SweepConfig {
-                rel_changes: vec![-0.2],
-                fractions: vec![0.0, 1.0],
-                seeds: vec![1],
-            },
-        )
-        .unwrap();
+        let spec =
+            ScenarioSpec::threshold(Some(TargetLayer::Inhibitory), &[-0.2], &[0.0, 1.0], &[1]);
+        let result = scenario_sweep_cached(&BaselineCache::new(&s), &spec).unwrap();
         let mut table = Table::new("t", &["a", "b", "c", "d"]);
         push_sweep_rows(&mut table, &result, "x");
         assert_eq!(table.len(), 2);

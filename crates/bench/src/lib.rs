@@ -9,7 +9,6 @@
 //! repro all --quick            # smoke reproduction of every figure
 //! repro fig8b                  # full-fidelity Attack-3 surface
 //! repro overheads --out out/   # defense overhead table + CSV dump
-//! repro bench                  # perf suite -> BENCH_sweep.json
 //! ```
 //!
 //! | experiment | paper artifact | content |
@@ -37,8 +36,6 @@
 
 pub mod experiments;
 pub mod orchestrate;
-pub mod perf;
 pub mod scenario_cli;
 
 pub use experiments::{run_experiment, ExperimentId, Fidelity};
-pub use perf::{run_perf_suite, PerfReport};

@@ -77,6 +77,6 @@ pub use scenario::{
 };
 pub use sweep::{
     cell_countermeasures, BaselineCache, CellAttack, CellCountermeasures, CellJob, CellResult,
-    Parallelism, SweepCell, SweepConfig, SweepPlan, SweepResult,
+    Parallelism, SweepCell, SweepPlan, SweepResult,
 };
 pub use threat::{AccessLevel, AttackKind, PowerDomainScenario};

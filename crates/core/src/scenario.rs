@@ -55,7 +55,7 @@ use neurofi_analog::{PowerTransferTable, TransferPoint};
 use crate::defense::Defense;
 use crate::error::Error;
 use crate::injection::TargetLayer;
-use crate::sweep::{CellAttack, CellJob, SweepConfig, SweepPlan};
+use crate::sweep::{CellAttack, CellJob, SweepPlan};
 use crate::threat::AttackKind;
 
 /// Hard cap on axes per scenario (the attack space has ten axis
@@ -758,29 +758,34 @@ pub struct ScenarioSpec {
     pub transfer: Option<Vec<TransferPoint>>,
 }
 
+/// The relative threshold changes of the paper's Fig. 8 grid.
+pub const FIG8_REL_CHANGES: [f64; 4] = [-0.20, -0.10, 0.10, 0.20];
+/// The affected layer fractions of the paper's Fig. 8 grid.
+pub const FIG8_FRACTIONS: [f64; 6] = [0.0, 0.25, 0.50, 0.75, 0.90, 1.0];
+
 impl ScenarioSpec {
     /// A threshold scenario over `rel_changes × fractions` — the shape
-    /// of the paper's Figs. 8a–c. `layer = None` is Attack 4, which the
-    /// paper defines at 100%, so fractions other than 1.0 are dropped
-    /// (exactly as the legacy planner did).
-    pub fn threshold(layer: Option<TargetLayer>, config: &SweepConfig) -> ScenarioSpec {
-        let fractions: Vec<f64> = if layer.is_none() {
-            config
-                .fractions
-                .iter()
-                .copied()
-                .filter(|f| (f - 1.0).abs() <= 1e-9)
-                .collect()
-        } else {
-            config.fractions.clone()
-        };
+    /// of the paper's Figs. 8a–c ([`FIG8_REL_CHANGES`] ×
+    /// [`FIG8_FRACTIONS`]). `layer = None` is Attack 4, which the paper
+    /// defines at 100%, so fractions other than 1.0 are dropped.
+    pub fn threshold(
+        layer: Option<TargetLayer>,
+        rel_changes: &[f64],
+        fractions: &[f64],
+        seeds: &[u64],
+    ) -> ScenarioSpec {
+        let fractions: Vec<f64> = fractions
+            .iter()
+            .copied()
+            .filter(|f| layer.is_some() || (f - 1.0).abs() <= 1e-9)
+            .collect();
         ScenarioSpec {
             family: AttackFamily::Threshold(LayerSel::from_target(layer)),
             axes: vec![
-                Axis::real(AxisKind::RelChange, config.rel_changes.clone()),
+                Axis::real(AxisKind::RelChange, rel_changes.to_vec()),
                 Axis::real(AxisKind::Fraction, fractions),
             ],
-            seeds: config.seeds.clone(),
+            seeds: seeds.to_vec(),
             transfer: None,
         }
     }
@@ -1472,7 +1477,6 @@ pub fn parse_transfer(value: &str) -> Result<Vec<TransferPoint>, Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sweep::plan_threshold_sweep;
 
     fn il_spec() -> ScenarioSpec {
         ScenarioSpec {
@@ -1671,15 +1675,13 @@ mod tests {
 
     #[test]
     fn planner_is_row_major_and_matches_the_legacy_threshold_planner() {
-        let config = SweepConfig {
-            rel_changes: vec![-0.2, 0.2],
-            fractions: vec![0.0, 0.5, 1.0],
-            seeds: vec![1, 2],
-        };
-        let spec = ScenarioSpec::threshold(Some(TargetLayer::Inhibitory), &config);
+        let spec = ScenarioSpec::threshold(
+            Some(TargetLayer::Inhibitory),
+            &[-0.2, 0.2],
+            &[0.0, 0.5, 1.0],
+            &[1, 2],
+        );
         let plan = spec.plan();
-        let legacy = plan_threshold_sweep(Some(TargetLayer::Inhibitory), &config);
-        assert_eq!(plan, legacy, "the legacy wrapper is the same planner");
         assert_eq!(plan.jobs.len(), 6);
         assert!(plan.jobs.iter().enumerate().all(|(i, j)| j.index == i));
         // Row-major: rel_change slowest.

@@ -33,9 +33,8 @@
 //!    `theta_change`, `vdd`, `layer`, `polarity`, `seed`) is flattened
 //!    by **one generic planner** ([`ScenarioSpec::plan`]) into a
 //!    [`SweepPlan`] of index-addressed [`CellJob`]s, row-major over the
-//!    axes. The paper's three grids are thin wrappers
-//!    ([`plan_threshold_sweep`] / [`plan_theta_sweep`] /
-//!    [`plan_vdd_sweep`]) that build the corresponding spec; custom
+//!    axes. The paper's grids are the [`ScenarioSpec::threshold`] /
+//!    [`ScenarioSpec::theta`] / [`ScenarioSpec::vdd`] presets; custom
 //!    cross products (e.g. threshold × VDD) go through the same planner
 //!    with no engine changes.
 //! 2. **Execute** — [`execute_cell`] runs one [`CellJob`] against a
@@ -223,52 +222,36 @@ impl BaselineCache {
     }
 }
 
-/// Sweep parameters for the threshold attacks — the legacy grid form,
-/// kept as the input of the [`plan_threshold_sweep`] wrapper and the
-/// [`ScenarioSpec::threshold`] preset builder.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepConfig {
-    /// Relative threshold changes (the paper sweeps ±10%, ±20%).
-    pub rel_changes: Vec<f64>,
-    /// Layer fractions (the paper sweeps 0%–100%).
-    pub fractions: Vec<f64>,
-    /// Seeds; each cell is averaged over all of them.
-    pub seeds: Vec<u64>,
-}
-
-impl SweepConfig {
-    /// The paper's Fig. 8 grid.
-    pub fn paper_grid() -> SweepConfig {
-        SweepConfig {
-            rel_changes: vec![-0.20, -0.10, 0.10, 0.20],
-            fractions: vec![0.0, 0.25, 0.50, 0.75, 0.90, 1.0],
-            seeds: vec![42],
-        }
-    }
-
-    /// A small grid for smoke runs.
-    pub fn quick_grid() -> SweepConfig {
-        SweepConfig {
-            rel_changes: vec![-0.20, 0.20],
-            fractions: vec![0.0, 0.5, 1.0],
-            seeds: vec![42],
-        }
-    }
-}
-
 /// One measured sweep cell.
+///
+/// The field names come from the threshold grid (Figs. 8a–c). Every
+/// family fills the same four fields, and layer cells (a `neurons`
+/// axis) store a spike count where the others store an accuracy. The
+/// names stay because the wire protocol and the result store encode
+/// exactly these four values; a field of its own per family would
+/// change both formats.
+///
+/// | cell | `rel_change` | `fraction` | `accuracy` | reference |
+/// |---|---|---|---|---|
+/// | threshold | threshold change | layer fraction | attacked accuracy | baseline accuracy |
+/// | theta | theta change | 1.0 | attacked accuracy | baseline accuracy |
+/// | VDD | supply voltage (V) | 1.0 | attacked accuracy | baseline accuracy |
+/// | layer | supply voltage (V) | 1.0 | output spikes per neuron | the layer at nominal VDD |
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SweepCell {
-    /// The primary swept value of the cell: the threshold change for
-    /// threshold families, the theta change for theta, the supply
-    /// voltage for VDD.
+    /// The primary swept value: the threshold change (threshold), the
+    /// theta change (theta), or the supply voltage in volts (VDD and
+    /// layer cells).
     pub rel_change: f64,
-    /// Affected layer fraction of the cell (1.0 for non-threshold
-    /// families, as the figures pin it).
+    /// The affected layer fraction of a threshold cell; 1.0 for every
+    /// other family, as the figures pin it.
     pub fraction: f64,
-    /// Mean attacked accuracy over seeds.
+    /// Mean attacked accuracy over seeds. A layer cell stores the mean
+    /// output spikes per neuron of its simulated layer instead.
     pub accuracy: f64,
-    /// Relative change versus baseline, percent.
+    /// `accuracy` relative to the cell's reference, percent: the mean
+    /// baseline accuracy, or for a layer cell the same layer at the
+    /// nominal supply.
     pub relative_change_percent: f64,
 }
 
@@ -340,20 +323,6 @@ impl SweepResult {
             flat = flat * axis.values.len() + i;
         }
         self.cells.get(flat)
-    }
-
-    /// Looks up a cell by its `(primary value, fraction)` coordinates
-    /// with **bit-exact** matching — coordinates are axis values copied
-    /// verbatim into the cells, so recomputing the same expression (even
-    /// a float artefact like `0.1 + 0.2`) finds its cell, and two axis
-    /// points closer than any epsilon stay distinguishable. Use
-    /// [`SweepResult::cell_at`] to address cells by axis indices
-    /// instead.
-    pub fn cell(&self, rel_change: f64, fraction: f64) -> Option<&SweepCell> {
-        self.cells.iter().find(|c| {
-            c.rel_change.to_bits() == rel_change.to_bits()
-                && c.fraction.to_bits() == fraction.to_bits()
-        })
     }
 }
 
@@ -497,33 +466,6 @@ pub struct SweepPlan {
     pub axes: Vec<Axis>,
     /// The cells, in result-slot order (`jobs[i].index == i`).
     pub jobs: Vec<CellJob>,
-}
-
-/// Stage 1 (enumerate): flattens a threshold-attack grid into a
-/// [`SweepPlan`] — a thin wrapper building the corresponding
-/// [`ScenarioSpec`]. `layer = None` plans Attack 4, keeping only the
-/// 100% fraction as the paper defines it.
-pub fn plan_threshold_sweep(layer: Option<TargetLayer>, config: &SweepConfig) -> SweepPlan {
-    ScenarioSpec::threshold(layer, config).plan()
-}
-
-/// Stage 1 (enumerate): one [`CellJob`] per theta change (Fig. 7b) — a
-/// thin wrapper over the scenario planner.
-pub fn plan_theta_sweep(theta_changes: &[f64], seeds: &[u64]) -> SweepPlan {
-    ScenarioSpec::theta(theta_changes, seeds).plan()
-}
-
-/// Stage 1 (enumerate): one [`CellJob`] per supply voltage (Fig. 9a) —
-/// a thin wrapper over the scenario planner. The transfer table is an
-/// execution concern ([`execute_cell`]), not a planning one.
-pub fn plan_vdd_sweep(vdds: &[f64], seeds: &[u64]) -> SweepPlan {
-    ScenarioSpec {
-        family: AttackFamily::Vdd,
-        axes: vec![Axis::real(crate::scenario::AxisKind::Vdd, vdds.to_vec())],
-        seeds: seeds.to_vec(),
-        transfer: None,
-    }
-    .plan()
 }
 
 /// Primes `cache` for `seeds` and returns the mean baseline accuracy —
@@ -972,27 +914,6 @@ pub fn assemble_cells(
     })
 }
 
-/// Runs every job of `plan` on the in-process pool and assembles the
-/// result — the shared backend of every `*_sweep_cached` entry point.
-fn run_plan(
-    cache: &BaselineCache,
-    plan: &SweepPlan,
-    transfer: Option<&PowerTransferTable>,
-) -> Result<SweepResult, Error> {
-    let baseline_accuracy = mean_baseline_accuracy(cache, &plan.seeds);
-    let measured = run_indexed(plan.jobs.len(), cache.setup().parallelism, |i| {
-        execute_cell(
-            cache,
-            &plan.seeds,
-            baseline_accuracy,
-            &plan.jobs[i],
-            transfer,
-        )
-    });
-    let results = measured.into_iter().collect::<Result<Vec<_>, _>>()?;
-    assemble_sweep(plan, baseline_accuracy, results)
-}
-
 /// Runs an arbitrary N-axis scenario against a shared [`BaselineCache`]
 /// — the engine's single front door. Validates the spec, resolves its
 /// transfer table, plans, executes on the in-process pool, and
@@ -1006,7 +927,19 @@ pub fn scenario_sweep_cached(
 ) -> Result<SweepResult, Error> {
     spec.validate()?;
     let transfer = spec.transfer_table()?;
-    run_plan(cache, &spec.plan(), transfer.as_ref())
+    let plan = spec.plan();
+    let baseline_accuracy = mean_baseline_accuracy(cache, &plan.seeds);
+    let measured = run_indexed(plan.jobs.len(), cache.setup().parallelism, |i| {
+        execute_cell(
+            cache,
+            &plan.seeds,
+            baseline_accuracy,
+            &plan.jobs[i],
+            transfer.as_ref(),
+        )
+    });
+    let results = measured.into_iter().collect::<Result<Vec<_>, _>>()?;
+    assemble_sweep(&plan, baseline_accuracy, results)
 }
 
 /// [`scenario_sweep_cached`] with a fresh cache for `setup`.
@@ -1015,49 +948,6 @@ pub fn scenario_sweep_cached(
 /// See [`scenario_sweep_cached`].
 pub fn scenario_sweep(setup: &ExperimentSetup, spec: &ScenarioSpec) -> Result<SweepResult, Error> {
     scenario_sweep_cached(&BaselineCache::new(setup), spec)
-}
-
-/// Sweeps a threshold attack over `rel_changes × fractions × seeds`
-/// against a shared [`BaselineCache`] (the setup is the cache's):
-/// per-seed baselines are computed at most once across all attack kinds
-/// swept through the same cache. `layer = None` sweeps Attack 4.
-///
-/// # Errors
-/// Propagates attack failures.
-pub fn threshold_sweep_cached(
-    cache: &BaselineCache,
-    layer: Option<TargetLayer>,
-    config: &SweepConfig,
-) -> Result<SweepResult, Error> {
-    run_plan(cache, &plan_threshold_sweep(layer, config), None)
-}
-
-/// Sweeps Attack 1 over theta changes (Fig. 7b) against a shared
-/// [`BaselineCache`]. Cells use the `fraction` field to carry 1.0
-/// (drivers are attacked globally).
-///
-/// # Errors
-/// Propagates attack failures.
-pub fn theta_sweep_cached(
-    cache: &BaselineCache,
-    theta_changes: &[f64],
-    seeds: &[u64],
-) -> Result<SweepResult, Error> {
-    run_plan(cache, &plan_theta_sweep(theta_changes, seeds), None)
-}
-
-/// Sweeps Attack 5 over supply voltages (Fig. 9a) against a shared
-/// [`BaselineCache`]. Cells use `rel_change` to carry the VDD value.
-///
-/// # Errors
-/// Propagates attack failures.
-pub fn vdd_sweep_cached(
-    cache: &BaselineCache,
-    vdds: &[f64],
-    transfer: &PowerTransferTable,
-    seeds: &[u64],
-) -> Result<SweepResult, Error> {
-    run_plan(cache, &plan_vdd_sweep(vdds, seeds), Some(transfer))
 }
 
 #[cfg(test)]
@@ -1077,15 +967,10 @@ mod tests {
     #[test]
     fn zero_fraction_cells_match_baseline() {
         let setup = tiny_setup();
-        let config = SweepConfig {
-            rel_changes: vec![-0.2],
-            fractions: vec![0.0],
-            seeds: vec![1],
-        };
+        let spec = ScenarioSpec::threshold(Some(TargetLayer::Inhibitory), &[-0.2], &[0.0], &[1]);
         let cache = BaselineCache::new(&setup);
-        let result =
-            threshold_sweep_cached(&cache, Some(TargetLayer::Inhibitory), &config).unwrap();
-        let cell = result.cell(-0.2, 0.0).unwrap();
+        let result = scenario_sweep_cached(&cache, &spec).unwrap();
+        let cell = result.cell_at(&[0, 0]).unwrap();
         assert!((cell.accuracy - result.baseline_accuracy).abs() < 1e-9);
         assert!(cell.relative_change_percent.abs() < 1e-9);
     }
@@ -1093,13 +978,9 @@ mod tests {
     #[test]
     fn both_layer_sweep_only_keeps_full_fraction() {
         let setup = tiny_setup();
-        let config = SweepConfig {
-            rel_changes: vec![-0.2, 0.2],
-            fractions: vec![0.0, 0.5, 1.0],
-            seeds: vec![1],
-        };
+        let spec = ScenarioSpec::threshold(None, &[-0.2, 0.2], &[0.0, 0.5, 1.0], &[1]);
         let cache = BaselineCache::new(&setup);
-        let result = threshold_sweep_cached(&cache, None, &config).unwrap();
+        let result = scenario_sweep_cached(&cache, &spec).unwrap();
         assert_eq!(result.kind, AttackKind::BothLayerThreshold);
         assert_eq!(result.cells.len(), 2); // one per rel_change, only f=1.0
         assert!(result.cells.iter().all(|c| c.fraction == 1.0));
@@ -1175,7 +1056,8 @@ mod tests {
     fn theta_sweep_produces_one_cell_per_change() {
         let setup = tiny_setup();
         let cache = BaselineCache::new(&setup);
-        let result = theta_sweep_cached(&cache, &[-0.2, 0.2], &[1]).unwrap();
+        let result =
+            scenario_sweep_cached(&cache, &ScenarioSpec::theta(&[-0.2, 0.2], &[1])).unwrap();
         assert_eq!(result.cells.len(), 2);
         assert_eq!(result.kind, AttackKind::InputSpikeCorruption);
     }
@@ -1185,15 +1067,9 @@ mod tests {
         let setup = tiny_setup();
         let transfer = PowerTransferTable::paper_nominal();
         let cache = BaselineCache::new(&setup);
-        let result = vdd_sweep_cached(&cache, &[1.0], &transfer, &[1]).unwrap();
+        let spec = ScenarioSpec::vdd(&[1.0], &transfer, &[1]);
+        let result = scenario_sweep_cached(&cache, &spec).unwrap();
         assert!((result.cells[0].accuracy - result.baseline_accuracy).abs() < 1e-9);
-    }
-
-    #[test]
-    fn paper_grid_dimensions() {
-        let g = SweepConfig::paper_grid();
-        assert_eq!(g.rel_changes.len(), 4);
-        assert!(g.fractions.contains(&1.0) && g.fractions.contains(&0.0));
     }
 
     #[test]
@@ -1202,19 +1078,15 @@ mod tests {
         setup.n_train = 60;
         setup.n_test = 30;
         setup.network.sample_time_ms = 60.0;
-        let config = SweepConfig {
-            rel_changes: vec![-0.2, 0.2],
-            fractions: vec![0.0, 1.0],
-            seeds: vec![1, 2],
-        };
+        let spec = ScenarioSpec::threshold(
+            Some(TargetLayer::Inhibitory),
+            &[-0.2, 0.2],
+            &[0.0, 1.0],
+            &[1, 2],
+        );
         let run = |parallelism: Parallelism| {
             let s = setup.clone().with_parallelism(parallelism);
-            threshold_sweep_cached(
-                &BaselineCache::new(&s),
-                Some(TargetLayer::Inhibitory),
-                &config,
-            )
-            .unwrap()
+            scenario_sweep_cached(&BaselineCache::new(&s), &spec).unwrap()
         };
         let serial = run(Parallelism::Serial);
         for threads in [2, 4] {
@@ -1263,15 +1135,14 @@ mod tests {
         setup.n_train = 60;
         setup.n_test = 30;
         setup.network.sample_time_ms = 60.0;
-        let config = SweepConfig {
-            rel_changes: vec![-0.2],
-            fractions: vec![1.0],
-            seeds: vec![3],
-        };
         let cache = BaselineCache::new(&setup);
-        let el = threshold_sweep_cached(&cache, Some(TargetLayer::Excitatory), &config).unwrap();
-        let il = threshold_sweep_cached(&cache, Some(TargetLayer::Inhibitory), &config).unwrap();
-        let both = threshold_sweep_cached(&cache, None, &config).unwrap();
+        let sweep = |layer| {
+            let spec = ScenarioSpec::threshold(layer, &[-0.2], &[1.0], &[3]);
+            scenario_sweep_cached(&cache, &spec).unwrap()
+        };
+        let el = sweep(Some(TargetLayer::Excitatory));
+        let il = sweep(Some(TargetLayer::Inhibitory));
+        let both = sweep(None);
         // One seed, three attack kinds: the baseline was measured once.
         assert_eq!(cache.len(), 1);
         assert_eq!(
@@ -1294,24 +1165,22 @@ mod tests {
 
     #[test]
     fn plans_enumerate_in_slot_order() {
-        let config = SweepConfig {
-            rel_changes: vec![-0.2, 0.2],
-            fractions: vec![0.0, 0.5, 1.0],
-            seeds: vec![1, 2],
-        };
-        let plan = plan_threshold_sweep(Some(TargetLayer::Inhibitory), &config);
+        let (rels, fractions, seeds) = (&[-0.2, 0.2], &[0.0, 0.5, 1.0], &[1, 2]);
+        let plan =
+            ScenarioSpec::threshold(Some(TargetLayer::Inhibitory), rels, fractions, seeds).plan();
         assert_eq!(plan.kind, AttackKind::InhibitoryThreshold);
         assert_eq!(plan.jobs.len(), 6);
         assert!(plan.jobs.iter().enumerate().all(|(i, j)| j.index == i));
         assert_eq!(plan.axes.len(), 2, "the plan carries its resolved axes");
         // Attack 4 keeps only the 100% fraction.
-        let both = plan_threshold_sweep(None, &config);
+        let both = ScenarioSpec::threshold(None, rels, fractions, seeds).plan();
         assert_eq!(both.jobs.len(), 2);
         assert!(both.jobs.iter().all(|j| j.attack.coordinates().1 == 1.0));
-        let theta = plan_theta_sweep(&[-0.2, 0.2], &[1]);
+        let theta = ScenarioSpec::theta(&[-0.2, 0.2], &[1]).plan();
         assert_eq!(theta.kind, AttackKind::InputSpikeCorruption);
         assert_eq!(theta.jobs.len(), 2);
-        let vdd = plan_vdd_sweep(&[0.8, 1.0], &[1]);
+        let table = PowerTransferTable::paper_nominal();
+        let vdd = ScenarioSpec::vdd(&[0.8, 1.0], &table, &[1]).plan();
         assert_eq!(vdd.kind, AttackKind::GlobalVdd);
         assert_eq!(vdd.jobs[1].attack, CellAttack::vdd(1.0));
     }
@@ -1322,18 +1191,18 @@ mod tests {
         setup.n_train = 60;
         setup.n_test = 30;
         setup.network.sample_time_ms = 60.0;
-        let config = SweepConfig {
-            rel_changes: vec![-0.2, 0.2],
-            fractions: vec![0.0, 1.0],
-            seeds: vec![1],
-        };
+        let spec = ScenarioSpec::threshold(
+            Some(TargetLayer::Inhibitory),
+            &[-0.2, 0.2],
+            &[0.0, 1.0],
+            &[1],
+        );
         let cache = BaselineCache::new(&setup);
-        let reference =
-            threshold_sweep_cached(&cache, Some(TargetLayer::Inhibitory), &config).unwrap();
+        let reference = scenario_sweep_cached(&cache, &spec).unwrap();
 
         // Hand-drive the stages, executing cells in *reverse* order to
         // prove assembly is slot-addressed, not arrival-ordered.
-        let plan = plan_threshold_sweep(Some(TargetLayer::Inhibitory), &config);
+        let plan = spec.plan();
         let baseline_accuracy = mean_baseline_accuracy(&cache, &plan.seeds);
         let mut results = Vec::new();
         for job in plan.jobs.iter().rev() {
@@ -1361,15 +1230,11 @@ mod tests {
         setup.n_train = 60;
         setup.n_test = 30;
         setup.network.sample_time_ms = 60.0;
-        let config = SweepConfig {
-            rel_changes: vec![-0.2, 0.2],
-            fractions: vec![1.0],
-            seeds: vec![1],
-        };
+        let mut spec =
+            ScenarioSpec::threshold(Some(TargetLayer::Inhibitory), &[-0.2, 0.2], &[1.0], &[1]);
         let cache = BaselineCache::new(&setup);
-        let pure = threshold_sweep_cached(&cache, Some(TargetLayer::Inhibitory), &config).unwrap();
+        let pure = scenario_sweep_cached(&cache, &spec).unwrap();
 
-        let mut spec = ScenarioSpec::threshold(Some(TargetLayer::Inhibitory), &config);
         spec.axes.push(Axis::real(AxisKind::Vdd, vec![1.0]));
         spec.transfer = Some(PowerTransferTable::paper_nominal().points().to_vec());
         let composite = scenario_sweep_cached(&cache, &spec).unwrap();
@@ -1442,18 +1307,18 @@ mod tests {
 
     #[test]
     fn cell_lookup_resolves_float_artifacts_exactly() {
-        // 0.1 + 0.2 is one ULP away from 0.3 in f64. The old epsilon
-        // lookup could not tell two such axis points apart (both were
-        // "within 1e-9"); the bit-exact lookup resolves each, and the
-        // axis-index lookup needs no float comparison at all.
+        // 0.1 + 0.2 is one ULP away from 0.3 in f64. An epsilon lookup
+        // could not tell two such axis points apart (both are "within
+        // 1e-9"); the axis-index lookup needs no float comparison at all.
         let artifact: f64 = 0.1 + 0.2;
         assert_ne!(artifact.to_bits(), 0.3f64.to_bits());
-        let config = SweepConfig {
-            rel_changes: vec![0.3, artifact],
-            fractions: vec![1.0],
-            seeds: vec![1],
-        };
-        let plan = plan_threshold_sweep(Some(TargetLayer::Inhibitory), &config);
+        let plan = ScenarioSpec::threshold(
+            Some(TargetLayer::Inhibitory),
+            &[0.3, artifact],
+            &[1.0],
+            &[1],
+        )
+        .plan();
         let results = plan.jobs.iter().map(|job| {
             let (rel_change, fraction) = job.attack.coordinates();
             CellResult {
@@ -1467,9 +1332,6 @@ mod tests {
             }
         });
         let result = assemble_sweep(&plan, 0.5, results).unwrap();
-        assert_eq!(result.cell(0.3, 1.0).unwrap().accuracy, 0.0);
-        assert_eq!(result.cell(0.1 + 0.2, 1.0).unwrap().accuracy, 1.0);
-        assert!(result.cell(0.30000001, 1.0).is_none());
         // Axis-index addressing: rel_change axis slot 1, fraction slot 0.
         assert_eq!(result.shape(), vec![2, 1]);
         assert_eq!(result.cell_at(&[0, 0]).unwrap().accuracy, 0.0);

@@ -20,11 +20,11 @@
 //! of `(setup, job)`, so scheduling never shows up in the results.
 
 use neurofi_core::attacks::ExperimentSetup;
-use neurofi_core::scenario::{parse_spec_line, spec_lines, ScenarioSpec, SpecLine};
-use neurofi_core::sweep::{scenario_sweep_cached, SweepPlan, SweepResult};
-use neurofi_core::{
-    BaselineCache, Error, Parallelism, PowerTransferTable, SweepConfig, TargetLayer,
+use neurofi_core::scenario::{
+    parse_spec_line, spec_lines, ScenarioSpec, SpecLine, FIG8_FRACTIONS, FIG8_REL_CHANGES,
 };
+use neurofi_core::sweep::{scenario_sweep_cached, SweepPlan, SweepResult};
+use neurofi_core::{BaselineCache, Error, Parallelism, PowerTransferTable, TargetLayer};
 
 use neurofi_core::sweep::CellAttack;
 
@@ -81,8 +81,9 @@ impl SetupSpec {
         SetupSpec::capture(SetupBase::Paper, &ExperimentSetup::paper(seed), seed)
     }
 
-    /// The `repro bench` scale: the quick preset with abbreviated
-    /// training, so a full grid finishes in seconds per core.
+    /// The quick preset with abbreviated training, so a full grid
+    /// finishes in seconds per core: the scale of the CI catalog grids
+    /// and of spec files that name no setup.
     pub fn bench(seed: u64) -> SetupSpec {
         SetupSpec {
             n_train: 40,
@@ -413,21 +414,14 @@ pub fn parse_campaign_text(text: &str) -> Result<ParsedCampaign, DistError> {
 /// * `fig8-full` — Fig. 8b at the paper's full protocol.
 pub fn named_campaign(name: &str) -> Option<CampaignSpec> {
     let il = Some(TargetLayer::Inhibitory);
-    let paper_grid = SweepConfig::paper_grid();
+    let fig8 = ScenarioSpec::threshold(il, &FIG8_REL_CHANGES, &FIG8_FRACTIONS, &[42]);
     match name {
         // Fractions 0.75/0.9 are where the reduced-scale IL surface has
         // visible structure; a flat surface could not catch slot
         // mix-ups in the golden comparison.
         "tiny" => Some(CampaignSpec {
             setup: SetupSpec::bench(42),
-            scenario: ScenarioSpec::threshold(
-                il,
-                &SweepConfig {
-                    rel_changes: vec![-0.20, 0.20],
-                    fractions: vec![0.0, 0.75, 0.90],
-                    seeds: vec![42],
-                },
-            ),
+            scenario: ScenarioSpec::threshold(il, &[-0.20, 0.20], &[0.0, 0.75, 0.90], &[42]),
         }),
         // Theta changes large enough that the reduced-scale accuracy
         // line has structure (a flat line could not catch slot mix-ups
@@ -438,15 +432,15 @@ pub fn named_campaign(name: &str) -> Option<CampaignSpec> {
         }),
         "fig8-reduced" => Some(CampaignSpec {
             setup: SetupSpec::bench(42),
-            scenario: ScenarioSpec::threshold(il, &paper_grid),
+            scenario: fig8,
         }),
         "fig8" => Some(CampaignSpec {
             setup: SetupSpec::quick(42),
-            scenario: ScenarioSpec::threshold(il, &paper_grid),
+            scenario: fig8,
         }),
         "fig8-full" => Some(CampaignSpec {
             setup: SetupSpec::paper(42),
-            scenario: ScenarioSpec::threshold(il, &paper_grid),
+            scenario: fig8,
         }),
         _ => None,
     }

@@ -354,11 +354,6 @@ fn worker_session<C: Connection>(
         Ok(other) => return desync(false, "campaign-queue handshake", &other),
         Err(e) => return lost(false, e),
     };
-    if campaigns.is_empty() {
-        return SessionEnd::Fatal(DistError::Protocol(
-            "coordinator announced an empty campaign queue".into(),
-        ));
-    }
     let runtimes = match runtimes_slot {
         None => match WorkerRuntimes::new(&campaigns, config.parallelism) {
             Ok(runtimes) => runtimes_slot.insert(runtimes),

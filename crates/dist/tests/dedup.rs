@@ -12,7 +12,7 @@
 
 use std::path::PathBuf;
 
-use neurofi_core::sweep::{SweepConfig, SweepResult};
+use neurofi_core::sweep::SweepResult;
 use neurofi_core::{ScenarioSpec, TargetLayer};
 use neurofi_dist::{
     named_campaign, run_local_cluster, CampaignSpec, LocalClusterConfig, NamedCampaign, SetupSpec,
@@ -63,11 +63,9 @@ fn superset_spec() -> CampaignSpec {
         setup: SetupSpec::bench(42),
         scenario: ScenarioSpec::threshold(
             Some(TargetLayer::Inhibitory),
-            &SweepConfig {
-                rel_changes: vec![-0.20, 0.20],
-                fractions: vec![0.0, 0.5, 0.75, 0.90],
-                seeds: vec![42],
-            },
+            &[-0.20, 0.20],
+            &[0.0, 0.5, 0.75, 0.90],
+            &[42],
         ),
     }
 }

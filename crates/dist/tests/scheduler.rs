@@ -9,17 +9,20 @@
 //! path (which must never poison healthy cells), explicit
 //! execution-failure poisoning, old-protocol rejection (v1 *and* v2),
 //! live submission (announce ordering, journal binding, kill + resume,
-//! bit-identical merges), and `--fair` weighted-round-robin
-//! interleaving bounds.
+//! bit-identical merges, a worker that joined an empty service), and
+//! `--fair` weighted-round-robin interleaving bounds.
 
 use std::path::PathBuf;
+use std::sync::mpsc;
 use std::time::Duration;
 
 use neurofi_core::sweep::{CellJob, CellResult, SweepCell, SweepResult};
+use neurofi_dist::transport::Canceller;
 use neurofi_dist::{
     campaign_journal_path, named_campaign, run_worker_on, serve_transport, submit_on, Connection,
-    CoordinatedRun, CoordinatorConfig, DistError, LoopbackConn, LoopbackHub, Message,
-    NamedCampaign, PolicyKind, WorkerConfig, CELLS_PER_THREAD, PROTOCOL_VERSION,
+    CoordinatedRun, CoordinatorConfig, DistError, Listener, LoopbackConn, LoopbackHub,
+    LoopbackListener, Message, NamedCampaign, PolicyKind, WorkerConfig, CELLS_PER_THREAD,
+    PROTOCOL_VERSION,
 };
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -745,6 +748,122 @@ fn live_submission_merges_bit_identical_and_survives_kill_plus_resume() {
     );
     assert_bit_identical(&run.campaigns[0].result, &serial_tiny);
     assert_bit_identical(&run.campaigns[1].result, &serial_theta);
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A loopback listener whose cancellation fails the accept: the stop
+/// signal of a persistent coordinator, which never settles on its own.
+struct StopOnCancel(LoopbackListener);
+
+impl Listener for StopOnCancel {
+    type Conn = LoopbackConn;
+
+    fn poll_accept(&mut self) -> Result<Option<LoopbackConn>, DistError> {
+        self.0.poll_accept()
+    }
+
+    fn accept(&mut self) -> Result<Option<LoopbackConn>, DistError> {
+        match self.0.accept()? {
+            Some(conn) => Ok(Some(conn)),
+            None => Err(DistError::Protocol("service stopped".into())),
+        }
+    }
+
+    fn canceller(&self) -> Canceller {
+        self.0.canceller()
+    }
+}
+
+/// A worker link that reports when its first reply — the handshake's
+/// campaign queue — has arrived.
+struct SignalOnHandshake {
+    conn: LoopbackConn,
+    handshaken: Option<mpsc::Sender<()>>,
+}
+
+impl Connection for SignalOnHandshake {
+    fn send(&mut self, message: &Message) -> Result<(), DistError> {
+        self.conn.send(message)
+    }
+
+    fn recv(&mut self) -> Result<Message, DistError> {
+        let message = self.conn.recv()?;
+        if let Some(handshaken) = self.handshaken.take() {
+            let _ = handshaken.send(());
+        }
+        Ok(message)
+    }
+
+    fn set_recv_timeout(&mut self, timeout: Option<Duration>) {
+        self.conn.set_recv_timeout(timeout)
+    }
+
+    fn canceller(&self) -> Canceller {
+        self.conn.canceller()
+    }
+}
+
+#[test]
+fn a_worker_that_joined_an_empty_service_executes_later_submissions() {
+    // A worker may join a service before its first submission: an
+    // empty campaign queue at handshake means "wait for campaigns",
+    // not "exit".
+    let dir = temp_dir("empty-service");
+    let journal = dir.join("run.journal");
+    let theta = named_campaign("tiny-theta").unwrap();
+    let serial = theta.run_serial().unwrap();
+
+    let mut config = CoordinatorConfig::with_campaigns("loopback", Vec::new());
+    config.persistent = true;
+    config.journal = Some(journal.clone());
+    let hub = LoopbackHub::new();
+    let listener = StopOnCancel(hub.listener());
+    let stop = listener.canceller();
+    let serve = std::thread::spawn(move || serve_transport(listener, config));
+
+    // The worker handshakes while the queue is empty; its budget is the
+    // campaign's cell count, so it returns once every cell is acked.
+    let (handshaken, handshake_done) = mpsc::channel();
+    let conn = SignalOnHandshake {
+        conn: hub.connect(),
+        handshaken: Some(handshaken),
+    };
+    let mut worker_config = WorkerConfig::new("loopback");
+    worker_config.max_cells = Some(serial.cells.len());
+    let worker = std::thread::spawn(move || run_worker_on(conn, &worker_config));
+    handshake_done.recv().unwrap();
+
+    let mut control = hub.connect();
+    let id = submit_on(
+        &mut control,
+        NamedCampaign::new("tiny-theta", theta.clone()),
+    )
+    .expect("submission accepted");
+    assert_eq!(id, 0);
+    let summary = worker
+        .join()
+        .unwrap()
+        .expect("a worker that joined an empty service keeps serving it");
+    assert_eq!(summary.cells_executed, serial.cells.len());
+
+    drop(control);
+    stop();
+    assert!(
+        serve.join().unwrap().is_err(),
+        "a stopped service reports the stop"
+    );
+
+    // Replay the journal through a fresh coordinator: every cell
+    // resumes, nothing executes, and the merge matches serial.
+    let mut config = CoordinatorConfig::with_campaigns(
+        "loopback",
+        vec![NamedCampaign::new("tiny-theta", theta)],
+    );
+    config.journal = Some(journal);
+    let run = serve_transport(LoopbackHub::new().listener(), config).expect("replay completes");
+    assert_eq!(run.campaigns[0].resumed_cells, serial.cells.len());
+    assert_bit_identical(&run.campaigns[0].result, &serial);
 
     let _ = std::fs::remove_dir_all(&dir);
 }

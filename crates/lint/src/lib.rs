@@ -79,12 +79,6 @@ pub const ALLOWLIST: &[Allow] = &[
     },
     Allow {
         rule: "determinism",
-        file_suffix: "crates/bench/src/perf.rs",
-        token: "Instant",
-        reason: "perf harness wall-time measurement; reported, not digested",
-    },
-    Allow {
-        rule: "determinism",
         file_suffix: "crates/bench/src/orchestrate.rs",
         token: "SystemTime",
         reason: "human-facing report timestamps; outside the result byte stream",

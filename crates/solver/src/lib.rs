@@ -71,7 +71,8 @@ impl fmt::Display for SolverError {
 impl std::error::Error for SolverError {}
 
 /// Cumulative counters a [`LinearSolver`] keeps about its own work,
-/// surfaced in transient results and `BENCH_sweep.json` (schema v6).
+/// surfaced in transient results and in the repo benchmark's `solver.*`
+/// metrics (`benchmark/`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SolverStats {
     /// System dimension (number of unknowns).

@@ -6,8 +6,9 @@
 //! ```
 
 use neurofi::core::attacks::ExperimentSetup;
-use neurofi::core::sweep::{threshold_sweep_cached, BaselineCache, SweepConfig};
-use neurofi::core::{Table, TargetLayer};
+use neurofi::core::scenario::{FIG8_FRACTIONS, FIG8_REL_CHANGES};
+use neurofi::core::sweep::{scenario_sweep_cached, BaselineCache};
+use neurofi::core::{ScenarioSpec, Table, TargetLayer};
 
 fn main() -> Result<(), neurofi::core::Error> {
     let full = std::env::args().any(|a| a == "--full");
@@ -16,10 +17,10 @@ fn main() -> Result<(), neurofi::core::Error> {
     } else {
         ExperimentSetup::quick(42)
     };
-    let config = if full {
-        SweepConfig::paper_grid()
+    let (rel_changes, fractions): (&[f64], &[f64]) = if full {
+        (&FIG8_REL_CHANGES, &FIG8_FRACTIONS)
     } else {
-        SweepConfig::quick_grid()
+        (&[-0.20, 0.20], &[0.0, 0.5, 1.0])
     };
 
     // Cells run on the work-stealing pool (one worker per core by
@@ -31,7 +32,8 @@ fn main() -> Result<(), neurofi::core::Error> {
         (TargetLayer::Inhibitory, "Fig. 8b", "−84.52%"),
     ] {
         println!("sweeping the {layer} layer ({figure})...");
-        let result = threshold_sweep_cached(&cache, Some(layer), &config)?;
+        let spec = ScenarioSpec::threshold(Some(layer), rel_changes, fractions, &[42]);
+        let result = scenario_sweep_cached(&cache, &spec)?;
         let mut table = Table::new(
             format!("{figure} — {layer}-layer threshold sweep"),
             &["threshold change", "fraction", "accuracy", "vs baseline"],
