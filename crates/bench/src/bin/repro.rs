@@ -4,10 +4,9 @@
 //! repro all [--quick] [--out DIR]
 //! repro fig8b fig9a [--quick] [--out DIR]
 //! repro sweep --attack threshold-inhibitory --axis "rel_change=-20%,20%" ...
-//! repro coordinate [--grid NAME]... [--spec FILE]... [--workers N] [--fair] [--store PATH]
+//! repro serve [--grid NAME]... [--spec FILE]... [--bind ADDR] [--workers N] [--store PATH]
 //! repro work --connect HOST:PORT [--threads N] [--retry N] [--backoff MS]
 //! repro submit (--grid NAME | --spec FILE | --attack ... --axis ...) --to HOST:PORT
-//! repro serve --bind ADDR [--store PATH] [--journal PATH]
 //! repro status --to HOST:PORT [--campaign NAME]
 //! repro store <stat|compact> --store PATH [--max-records N] [--max-age-days D]
 //! repro list
@@ -18,7 +17,7 @@
 //! experiment. `sweep` runs an arbitrary declarative N-axis scenario
 //! (attack family × typed axes — see `repro sweep --help` for the
 //! grammar) locally through the same engine.
-//! `coordinate`/`work` shard sweep campaigns across
+//! `serve`/`work` shard sweep campaigns across
 //! workers over TCP with checkpoint/resume (see `neurofi-dist`); repeat
 //! `--grid`/`--spec` to queue several campaigns on one worker fleet,
 //! `submit` enqueues another scenario — catalog preset or arbitrary
@@ -27,11 +26,12 @@
 //! through link losses with capped jittered backoff (`--retry`/
 //! `--backoff`), and submission is idempotent, so retries are safe on
 //! both sides. Every merged result is bit-identical to a serial run
-//! regardless of scheduling or faults. `serve` runs the coordinator as
-//! a long-lived service that outlives queue drain, `status` polls its
-//! per-campaign progress, and `--store` plugs in the content-addressed
-//! result store so overlapping campaigns dedup to store hits instead of
-//! recomputing (`store stat`/`store compact` maintain it offline).
+//! regardless of scheduling or faults. `serve` with campaigns exits
+//! once they settle; with an empty queue it is a long-lived service
+//! that outlives queue drain. `status` polls per-campaign progress, and
+//! `--store` plugs in the content-addressed result store so overlapping
+//! campaigns dedup to store hits instead of recomputing (`store
+//! stat`/`store compact` maintain it offline).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -40,15 +40,13 @@ use std::time::Instant;
 use neurofi_bench::{run_experiment, ExperimentId, Fidelity};
 
 fn usage() -> &'static str {
-    "usage: repro <all|list|sweep|coordinate|work|submit|serve|status|store|EXPERIMENT...> [--quick] [--out DIR]\n\
+    "usage: repro <all|list|sweep|serve|work|submit|status|store|EXPERIMENT...> [--quick] [--out DIR]\n\
      experiments: fig3 fig4 fig5b fig5c fig6a fig6b fig6c fig7b fig8a fig8b \
      fig8c fig9a fig9b fig9c fig10c defenses overheads ext-glitch ext-weightfaults\n\
      sweep: run a declarative N-axis scenario locally (see `repro sweep --help`)\n\
-     coordinate/work/submit: distributed sweep campaigns with live \
-     submission of arbitrary scenarios (see `repro coordinate --help`, \
-     `repro submit --help`)\n\
-     serve/status: always-on coordinator service + progress queries \
-     (see `repro serve --help`)\n\
+     serve/work/submit/status: distributed sweep campaigns, as a run or \
+     an always-on service, with live submission of arbitrary scenarios \
+     and progress queries (see `repro serve --help`, `repro submit --help`)\n\
      store: content-addressed result store maintenance \
      (see `repro store --help`)"
 }
@@ -64,7 +62,6 @@ fn main() -> ExitCode {
     // lists entirely.
     match args[0].as_str() {
         "sweep" => return neurofi_bench::scenario_cli::sweep_main(&args[1..]),
-        "coordinate" => return neurofi_bench::orchestrate::coordinate_main(&args[1..]),
         "work" => return neurofi_bench::orchestrate::work_main(&args[1..]),
         "submit" => return neurofi_bench::orchestrate::submit_main(&args[1..]),
         "serve" => return neurofi_bench::orchestrate::serve_main(&args[1..]),

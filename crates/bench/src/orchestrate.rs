@@ -1,64 +1,67 @@
 //! CLI backends for the distributed-sweep subcommands:
-//! `repro coordinate` (shard campaigns over TCP workers), `repro work`
-//! (join as a worker), `repro submit` (enqueue a campaign on a *running*
-//! coordinator), `repro serve` (a coordinator that outlives queue drain
-//! and accepts submissions indefinitely), `repro status` (query a
-//! running coordinator's per-campaign progress over the v5 control
-//! plane), and `repro store` (offline stat/compact of the
-//! content-addressed result store).
+//! `repro serve` (the coordinator: shard campaigns over TCP workers,
+//! either as a run that exits once its start-up campaigns settle or as
+//! an always-on service), `repro work` (join as a worker), `repro
+//! submit` (enqueue a campaign on a *running* coordinator), `repro
+//! status` (query a running coordinator's per-campaign progress over
+//! the v5 control plane), and `repro store` (offline stat/compact of
+//! the content-addressed result store).
 //!
 //! All return a process exit code and print human-oriented progress to
 //! stderr, results to stdout — any failed cell, failed worker, or
 //! failed verification exits nonzero so CI catches silent regressions.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::{Duration, SystemTime};
 
 use neurofi_core::{cell_countermeasures, AxisKind, Parallelism, SweepResult, Table};
 use neurofi_dist::{
     named_campaign, query_status, run_local_cluster, run_worker, submit_campaign_retrying,
-    CampaignProgress, CampaignSpec, CampaignSweep, Coordinator, CoordinatorConfig,
-    LocalClusterConfig, NamedCampaign, PolicyKind, RetryPolicy, WorkerConfig, NAMED_CAMPAIGNS,
+    CampaignProgress, CampaignSpec, CampaignSweep, Coordinator, CoordinatorConfig, NamedCampaign,
+    PolicyKind, RetryPolicy, WorkerConfig, NAMED_CAMPAIGNS,
 };
 use neurofi_store::{EvictionPolicy, Store};
 
-fn coordinate_usage() -> String {
-    format!(
-        "usage: repro coordinate [--grid NAME]... [--spec FILE]... [--workers N] \
-         [--bind ADDR] [--journal PATH] [--store PATH] [--fair] [--weight GRID=W]... \
-         [--verify-serial] [--idle-timeout SECS] [--worker-max-cells K] [--out DIR]\n\
-         grids: {} (repeat --grid to queue several campaigns on one \
-         coordinator/fleet; each keeps its own journal `PATH.<grid>`; --spec \
-         queues a custom scenario file in the axis grammar — see `repro sweep \
-         --help`; more campaigns can be enqueued live with `repro submit`)\n\
-         --fair  weighted round-robin across campaigns instead of FIFO \
-         (a campaign with --weight GRID=W gets W consecutive batches per \
-         rotation; default weight 1)\n\
-         --workers N  spawn N local workers (over localhost TCP); with 0 \
-         (default when --bind is given) the coordinator waits for external \
-         `repro work --connect` peers\n\
-         --worker-max-cells K  preempt each local worker after K cells \
-         (exercises the requeue/resume path; mainly for CI)\n\
-         --store PATH  content-addressed result store: cells already \
-         present (from *any* earlier campaign, under any name) are filled \
-         as store hits before workers are assigned, and newly computed \
-         cells are recorded for future runs",
-        NAMED_CAMPAIGNS.join(" ")
-    )
-}
-
 fn serve_usage() -> String {
     format!(
-        "usage: repro serve --bind ADDR [--store PATH] [--journal PATH] \
-         [--grid NAME]... [--spec FILE]... [--fair] [--weight GRID=W]...\n\
+        "usage: repro serve [--grid NAME]... [--spec FILE]... [--weight GRID=W]... [--fair] \
+         [--bind ADDR] [--journal PATH] [--store PATH] [--workers N] \
+         [--worker-max-cells K] [--idle-timeout SECS] [--verify-serial] [--out DIR]\n\
          grids: {}\n\
-         A persistent coordinator: binds ADDR, serves `repro work` peers, \
-         and keeps accepting `repro submit` campaigns indefinitely — it \
-         does NOT exit when the queue drains (stop it with a signal). \
-         Results land in per-campaign journals (`--journal` base) and, \
-         with --store, in the content-addressed store shared across every \
-         campaign ever submitted. Poll it with `repro status --to ADDR`.",
+         The coordinator. The start-up queue sets the mode:\n\
+         * empty (no --grid/--spec): an always-on service. It needs --bind, \
+         serves `repro work` peers, accepts `repro submit` campaigns, and runs \
+         until killed — it does NOT exit when the queue drains. Poll it with \
+         `repro status --to ADDR`. --idle-timeout, --verify-serial and --out \
+         are refused (nothing is merged before the kill).\n\
+         * --grid/--spec campaigns: a run that exits once they and any live \
+         submissions settle, printing each merge. It needs --workers N, --bind, \
+         or both.\n\
+         --grid NAME / --spec FILE  queue a catalog preset / a scenario file in \
+         the axis grammar (see `repro sweep --help`); repeat to queue several \
+         campaigns on one fleet\n\
+         --fair  weighted round-robin across campaigns instead of FIFO (a \
+         campaign with --weight GRID=W gets W consecutive batches per \
+         rotation; default weight 1)\n\
+         --bind ADDR  listen for external `repro work --connect` peers and \
+         `repro submit`/`repro status` clients\n\
+         --journal PATH  checkpoint each campaign to its own journal \
+         `PATH.<name>`; rerunning the same command resumes them\n\
+         --store PATH  content-addressed result store: cells already present \
+         (from *any* earlier campaign, under any name) are filled as store \
+         hits before workers are assigned, and newly computed cells are \
+         recorded for future runs\n\
+         --workers N  spawn N local workers over localhost TCP (default 0: \
+         only external peers compute)\n\
+         --worker-max-cells K  preempt each local worker after K cells \
+         (exercises the requeue/resume path; mainly for CI)\n\
+         --idle-timeout SECS  give up, journaling progress, after SECS with \
+         work pending and no worker connected (default 60)\n\
+         --verify-serial  re-run every merged campaign serially and fail \
+         unless the merge is bit-identical\n\
+         --out DIR  also write each merge to `DIR/distributed_sweep.<name>.csv`",
         NAMED_CAMPAIGNS.join(" ")
     )
 }
@@ -102,7 +105,7 @@ fn submit_usage() -> String {
          [--setup-seed N] [--transfer paper|POINTS] [--weight W] [--name NAME]\n\
          grids: {}\n\
          Enqueues the scenario on a *running* coordinator (started with \
-         `repro coordinate`) — a catalog preset, a spec file, or an inline \
+         `repro serve`) — a catalog preset, a spec file, or an inline \
          axis grammar (arbitrary grids, not just catalog names; see \
          `repro sweep --help` for the grammar). The campaign is journaled \
          and scheduled exactly like a bind-time campaign; --name overrides \
@@ -116,51 +119,28 @@ fn submit_usage() -> String {
     )
 }
 
-/// One row per cell. Results that carry their resolved axes get one
-/// column per axis — a cross-product grid (e.g. threshold × vdd) would
-/// otherwise print indistinguishable duplicate `(value, fraction)`
-/// rows; hand-assembled results fall back to the legacy coordinate
-/// pair. When the producing spec is available and carries a defense or
-/// detector axis, each row additionally reports the defense overhead
-/// and the dummy-neuron detection outcome (hit / miss / quiet).
-pub(crate) fn sweep_table(name: &str, sweep: &SweepResult, spec: Option<&CampaignSpec>) -> Table {
+/// One row per cell, one column per resolved axis — a cross-product
+/// grid (e.g. threshold × vdd) would otherwise print indistinguishable
+/// rows. When the producing spec carries a defense or detector axis,
+/// each row additionally reports the defense overhead and the
+/// dummy-neuron detection outcome (hit / miss / quiet).
+pub(crate) fn sweep_table(name: &str, sweep: &SweepResult, spec: &CampaignSpec) -> Table {
     let title = format!("Sweep `{name}` — attack {}", sweep.kind.paper_id());
-    if sweep.axes.is_empty() {
-        let mut table = Table::new(title, &["value", "fraction", "accuracy", "vs baseline"]);
-        for cell in &sweep.cells {
-            table.push_row(&[
-                format!("{:+.3}", cell.rel_change),
-                format!("{:.0}%", cell.fraction * 100.0),
-                format!("{:.1}%", cell.accuracy * 100.0),
-                format!("{:+.2}%", cell.relative_change_percent),
-            ]);
-        }
-        table.push_note(format!(
-            "baseline accuracy {:.2}%",
-            sweep.baseline_accuracy * 100.0
-        ));
-        return table;
-    }
     // Countermeasure reporting is derived, never measured: overhead and
     // detection are pure functions of each planned attack, so the cells'
     // bytes stay identical whether or not these columns print.
-    let countermeasures = spec.and_then(|spec| {
-        let armed = spec
-            .scenario
-            .axes
-            .iter()
-            .any(|a| matches!(a.kind, AxisKind::Defense | AxisKind::Detector));
-        if !armed {
-            return None;
-        }
+    let armed = spec
+        .scenario
+        .axes
+        .iter()
+        .any(|a| matches!(a.kind, AxisKind::Defense | AxisKind::Detector));
+    let countermeasures = armed.then(|| {
         let transfer = spec.scenario.transfer_table().ok().flatten();
-        Some(
-            spec.plan()
-                .jobs
-                .iter()
-                .map(|job| cell_countermeasures(&job.attack, transfer.as_ref()))
-                .collect::<Vec<_>>(),
-        )
+        spec.plan()
+            .jobs
+            .iter()
+            .map(|job| cell_countermeasures(&job.attack, transfer.as_ref()))
+            .collect::<Vec<_>>()
     });
     let mut headers: Vec<String> = sweep.axes.iter().map(|a| a.kind.to_string()).collect();
     headers.push("accuracy".into());
@@ -250,12 +230,12 @@ fn verify_against_serial(sweep: &CampaignSweep) -> Result<(), String> {
     diff_sweeps(&serial, &sweep.result)
 }
 
-fn report_sweep(
-    sweep: &CampaignSweep,
-    many: bool,
-    out_dir: Option<&PathBuf>,
-) -> Result<(), String> {
-    let table = sweep_table(&sweep.name, &sweep.result, Some(&sweep.spec));
+/// Prints one merged campaign and, with `out_dir`, writes it to
+/// `distributed_sweep.<name>.csv` there. The name is always in the file
+/// name: a live `repro submit` can add campaigns to any run, so a path
+/// that depended on the campaign count would rename earlier results.
+fn report_sweep(sweep: &CampaignSweep, out_dir: Option<&Path>) -> Result<(), String> {
+    let table = sweep_table(&sweep.name, &sweep.result, &sweep.spec);
     println!("{}", table.to_markdown());
     // The zero-hit format is frozen: CI greps the exact
     // `... N computed)` suffix on runs without a store.
@@ -271,227 +251,11 @@ fn report_sweep(
     if let Some(dir) = out_dir {
         std::fs::create_dir_all(dir)
             .map_err(|e| format!("cannot create output directory {}: {e}", dir.display()))?;
-        let file = if many {
-            format!("distributed_sweep.{}.csv", sweep.name)
-        } else {
-            "distributed_sweep.csv".into()
-        };
-        let path = dir.join(file);
+        let path = dir.join(format!("distributed_sweep.{}.csv", sweep.name));
         std::fs::write(&path, table.to_csv())
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     }
     Ok(())
-}
-
-/// `repro coordinate ...`: queue one or more named campaign grids on a
-/// single coordinator/fleet, merge each, report.
-pub fn coordinate_main(args: &[String]) -> ExitCode {
-    let mut grids: Vec<String> = Vec::new();
-    let mut spec_files: Vec<PathBuf> = Vec::new();
-    let mut workers = 0usize;
-    let mut workers_given = false;
-    let mut bind: Option<String> = None;
-    let mut journal: Option<PathBuf> = None;
-    let mut store: Option<PathBuf> = None;
-    let mut policy = PolicyKind::Fifo;
-    let mut weights: Vec<(String, u32)> = Vec::new();
-    let mut verify_serial = false;
-    let mut idle_timeout = Duration::from_secs(60);
-    let mut worker_max_cells: Option<usize> = None;
-    let mut out_dir: Option<PathBuf> = None;
-
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut take = |flag: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match arg.as_str() {
-            "--grid" => match take("--grid") {
-                Ok(v) => grids.push(v),
-                Err(e) => return usage_error(&e, &coordinate_usage()),
-            },
-            "--spec" => match take("--spec") {
-                Ok(v) => spec_files.push(PathBuf::from(v)),
-                Err(e) => return usage_error(&e, &coordinate_usage()),
-            },
-            "--workers" => match take("--workers").and_then(|v| {
-                v.parse::<usize>()
-                    .map_err(|_| format!("bad worker count `{v}`"))
-            }) {
-                Ok(v) => {
-                    workers = v;
-                    workers_given = true;
-                }
-                Err(e) => return usage_error(&e, &coordinate_usage()),
-            },
-            "--bind" => match take("--bind") {
-                Ok(v) => bind = Some(v),
-                Err(e) => return usage_error(&e, &coordinate_usage()),
-            },
-            "--journal" => match take("--journal") {
-                Ok(v) => journal = Some(PathBuf::from(v)),
-                Err(e) => return usage_error(&e, &coordinate_usage()),
-            },
-            "--store" => match take("--store") {
-                Ok(v) => store = Some(PathBuf::from(v)),
-                Err(e) => return usage_error(&e, &coordinate_usage()),
-            },
-            "--idle-timeout" => match take("--idle-timeout")
-                .and_then(|v| v.parse::<u64>().map_err(|_| format!("bad timeout `{v}`")))
-            {
-                Ok(v) => idle_timeout = Duration::from_secs(v),
-                Err(e) => return usage_error(&e, &coordinate_usage()),
-            },
-            "--worker-max-cells" => match take("--worker-max-cells").and_then(|v| {
-                v.parse::<usize>()
-                    .map_err(|_| format!("bad cell budget `{v}`"))
-            }) {
-                Ok(v) => worker_max_cells = Some(v),
-                Err(e) => return usage_error(&e, &coordinate_usage()),
-            },
-            "--out" => match take("--out") {
-                Ok(v) => out_dir = Some(PathBuf::from(v)),
-                Err(e) => return usage_error(&e, &coordinate_usage()),
-            },
-            "--fair" => policy = PolicyKind::WeightedRoundRobin,
-            "--weight" => match take("--weight").and_then(|v| parse_weight(&v)) {
-                Ok(pair) => weights.push(pair),
-                Err(e) => return usage_error(&e, &coordinate_usage()),
-            },
-            "--verify-serial" => verify_serial = true,
-            "--help" | "-h" => {
-                println!("{}", coordinate_usage());
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                return usage_error(&format!("unknown argument `{other}`"), &coordinate_usage())
-            }
-        }
-    }
-    if !workers_given && bind.is_none() {
-        // Bare `repro coordinate` would wait forever for peers that were
-        // never launched; default to a self-contained two-worker cluster.
-        workers = 2;
-    }
-    if grids.is_empty() && spec_files.is_empty() {
-        grids.push("fig8-reduced".into());
-    }
-
-    let campaigns = match build_campaigns(&grids, &spec_files, &weights) {
-        Ok(campaigns) => campaigns,
-        Err(e) => return usage_error(&e, &coordinate_usage()),
-    };
-
-    let names: Vec<&str> = campaigns.iter().map(|c| c.name.as_str()).collect();
-    let total_cells: usize = campaigns.iter().map(|c| c.spec.plan().jobs.len()).sum();
-    eprintln!(
-        "coordinate: {} campaign(s) [{}] ({total_cells} cells), {} scheduling, {} local worker(s){}",
-        campaigns.len(),
-        names.join(", "),
-        match policy {
-            PolicyKind::Fifo => "fifo",
-            PolicyKind::WeightedRoundRobin => "fair (weighted round-robin)",
-        },
-        workers,
-        match &journal {
-            Some(p) => format!(", journal base {}", p.display()),
-            None => String::new(),
-        }
-    );
-
-    let run = if workers > 0 {
-        let mut config = LocalClusterConfig::multi(campaigns.clone(), workers);
-        if let Some(bind) = bind {
-            config.bind = bind;
-        }
-        config.journal = journal;
-        config.store = store;
-        config.policy = policy;
-        config.idle_timeout = idle_timeout;
-        config.worker_max_cells = worker_max_cells;
-        config.worker_parallelism = Parallelism::Auto;
-        run_local_cluster(&config).map(|report| {
-            for (i, worker) in report.workers.iter().enumerate() {
-                match worker {
-                    Ok(summary) => eprintln!(
-                        "worker {i}: {} cell(s), {}",
-                        summary.cells_executed,
-                        if summary.finished {
-                            "finished"
-                        } else {
-                            "left early"
-                        }
-                    ),
-                    Err(e) => eprintln!("worker {i}: failed after merge completed: {e}"),
-                }
-            }
-            report.run
-        })
-    } else {
-        let Some(bind) = bind else {
-            return usage_error(
-                "--workers 0 needs --bind (there would be nobody to serve)",
-                &coordinate_usage(),
-            );
-        };
-        let mut config = CoordinatorConfig::with_campaigns(bind.clone(), campaigns.clone());
-        config.journal = journal;
-        config.store = store;
-        config.policy = policy;
-        config.idle_timeout = idle_timeout;
-        Coordinator::bind(config).and_then(|coordinator| {
-            eprintln!(
-                "coordinate: listening on {} — start workers with \
-                 `repro work --connect HOST:PORT`",
-                coordinator
-                    .local_addr()
-                    .map(|a| a.to_string())
-                    .unwrap_or(bind)
-            );
-            coordinator.serve()
-        })
-    };
-
-    let run = match run {
-        Ok(run) => run,
-        Err(e) => {
-            eprintln!("coordinate FAILED: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let many = run.campaigns.len() > 1;
-    for sweep in &run.campaigns {
-        if let Err(e) = report_sweep(sweep, many, out_dir.as_ref()) {
-            eprintln!("coordinate FAILED: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
-    println!("_{} worker(s) served the fleet_\n", run.workers_seen);
-    if verify_serial {
-        // Every merged campaign is verified — including ones submitted
-        // to the running coordinator after bind (the merge carries its
-        // spec).
-        for sweep in &run.campaigns {
-            eprintln!(
-                "verify: re-running campaign `{}` serially for the golden comparison...",
-                sweep.name
-            );
-            match verify_against_serial(sweep) {
-                Ok(()) => println!(
-                    "_verify-serial `{}`: distributed merge is bit-identical to the \
-                     serial engine_",
-                    sweep.name
-                ),
-                Err(e) => {
-                    eprintln!("coordinate FAILED verification for `{}`: {e}", sweep.name);
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
-    }
-    ExitCode::SUCCESS
 }
 
 /// `repro work ...`: join a campaign as a worker.
@@ -610,8 +374,7 @@ pub fn work_main(args: &[String]) -> ExitCode {
 }
 
 /// Resolves `--grid` presets and `--spec` files into the campaign
-/// queue, applying `--weight` overrides — shared by `repro coordinate`
-/// and `repro serve`.
+/// queue, applying `--weight` overrides (at most one per campaign).
 fn build_campaigns(
     grids: &[String],
     spec_files: &[PathBuf],
@@ -638,15 +401,14 @@ fn build_campaigns(
         }
         campaigns.push(campaign);
     }
-    for campaign in &mut campaigns {
-        if let Some(&(_, w)) = weights.iter().find(|(name, _)| name == &campaign.name) {
-            campaign.weight = w;
+    for (i, (name, weight)) in weights.iter().enumerate() {
+        if weights[..i].iter().any(|(earlier, _)| earlier == name) {
+            return Err(format!("--weight given twice for `{name}`"));
         }
-    }
-    for (name, _) in weights {
-        if !campaigns.iter().any(|c| &c.name == name) {
+        let Some(campaign) = campaigns.iter_mut().find(|c| &c.name == name) else {
             return Err(format!("--weight names unqueued grid `{name}`"));
-        }
+        };
+        campaign.weight = *weight;
     }
     Ok(campaigns)
 }
@@ -757,19 +519,33 @@ pub fn submit_main(args: &[String]) -> ExitCode {
     }
 }
 
-/// `repro serve ...`: a persistent coordinator. Unlike `coordinate`, it
-/// never exits when the queue drains — it keeps serving workers and
-/// accepting `repro submit` campaigns until killed. Merged results live
-/// in the journals and (with `--store`) the content-addressed store;
-/// progress is observable with `repro status`.
-pub fn serve_main(args: &[String]) -> ExitCode {
+/// `repro serve` after argument parsing: the coordinator config plus
+/// what the CLI does around it.
+#[derive(Debug)]
+struct ServeArgs {
+    config: CoordinatorConfig,
+    /// Local workers to spawn over localhost TCP (0: external peers only).
+    workers: usize,
+    worker_max_cells: Option<usize>,
+    verify_serial: bool,
+    out_dir: Option<PathBuf>,
+}
+
+/// Parses `repro serve` arguments (`Ok(None)` for `--help`). The
+/// start-up queue alone sets the mode: empty gives the always-on
+/// service, any `--grid`/`--spec` campaign a run that exits once its
+/// campaigns settle.
+fn parse_serve(args: &[String]) -> Result<Option<ServeArgs>, String> {
     let mut grids: Vec<String> = Vec::new();
     let mut spec_files: Vec<PathBuf> = Vec::new();
-    let mut bind: Option<String> = None;
-    let mut journal: Option<PathBuf> = None;
-    let mut store: Option<PathBuf> = None;
-    let mut policy = PolicyKind::Fifo;
     let mut weights: Vec<(String, u32)> = Vec::new();
+    let mut config = CoordinatorConfig::with_campaigns("127.0.0.1:0", Vec::new());
+    let mut bind: Option<String> = None;
+    let mut idle_timeout: Option<u64> = None;
+    let mut workers = 0usize;
+    let mut worker_max_cells: Option<usize> = None;
+    let mut verify_serial = false;
+    let mut out_dir: Option<PathBuf> = None;
 
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
@@ -779,79 +555,199 @@ pub fn serve_main(args: &[String]) -> ExitCode {
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
         match arg.as_str() {
-            "--grid" => match take("--grid") {
-                Ok(v) => grids.push(v),
-                Err(e) => return usage_error(&e, &serve_usage()),
-            },
-            "--spec" => match take("--spec") {
-                Ok(v) => spec_files.push(PathBuf::from(v)),
-                Err(e) => return usage_error(&e, &serve_usage()),
-            },
-            "--bind" => match take("--bind") {
-                Ok(v) => bind = Some(v),
-                Err(e) => return usage_error(&e, &serve_usage()),
-            },
-            "--journal" => match take("--journal") {
-                Ok(v) => journal = Some(PathBuf::from(v)),
-                Err(e) => return usage_error(&e, &serve_usage()),
-            },
-            "--store" => match take("--store") {
-                Ok(v) => store = Some(PathBuf::from(v)),
-                Err(e) => return usage_error(&e, &serve_usage()),
-            },
-            "--fair" => policy = PolicyKind::WeightedRoundRobin,
-            "--weight" => match take("--weight").and_then(|v| parse_weight(&v)) {
-                Ok(pair) => weights.push(pair),
-                Err(e) => return usage_error(&e, &serve_usage()),
-            },
-            "--help" | "-h" => {
-                println!("{}", serve_usage());
-                return ExitCode::SUCCESS;
+            "--grid" => grids.push(take("--grid")?),
+            "--spec" => spec_files.push(take("--spec")?.into()),
+            "--weight" => weights.push(parse_weight(&take("--weight")?)?),
+            "--fair" => config.policy = PolicyKind::WeightedRoundRobin,
+            "--bind" => bind = Some(take("--bind")?),
+            "--journal" => config.journal = Some(take("--journal")?.into()),
+            "--store" => config.store = Some(take("--store")?.into()),
+            "--workers" => workers = parse_number(&take("--workers")?, "worker count")?,
+            "--worker-max-cells" => {
+                worker_max_cells = Some(parse_number(&take("--worker-max-cells")?, "cell budget")?)
             }
-            other => return usage_error(&format!("unknown argument `{other}`"), &serve_usage()),
+            "--idle-timeout" => {
+                idle_timeout = Some(parse_number(&take("--idle-timeout")?, "timeout")?)
+            }
+            "--verify-serial" => verify_serial = true,
+            "--out" => out_dir = Some(take("--out")?.into()),
+            "--help" | "-h" => return Ok(None),
+            other => return Err(format!("unknown argument `{other}`")),
         }
     }
-    let Some(bind) = bind else {
-        return usage_error(
-            "--bind is required (the service exists to be dialled)",
-            &serve_usage(),
+    config.campaigns = build_campaigns(&grids, &spec_files, &weights)?;
+    config.persistent = config.campaigns.is_empty();
+    if config.persistent {
+        if bind.is_none() {
+            return Err("an empty queue starts the always-on service, which needs --bind".into());
+        }
+        let merge_flags = [
+            ("--idle-timeout", idle_timeout.is_some()),
+            ("--verify-serial", verify_serial),
+            ("--out", out_dir.is_some()),
+        ];
+        if let Some((flag, _)) = merge_flags.iter().find(|(_, given)| *given) {
+            return Err(format!(
+                "{flag} needs a --grid or --spec campaign: with an empty queue the \
+                 service never idles out and merges nothing before it is killed"
+            ));
+        }
+    } else if workers == 0 && bind.is_none() {
+        return Err(
+            "campaigns need --workers N or --bind (there would be nobody to compute them)".into(),
         );
-    };
-    let campaigns = match build_campaigns(&grids, &spec_files, &weights) {
-        Ok(campaigns) => campaigns,
+    }
+    if let Some(bind) = bind {
+        config.bind = bind;
+    }
+    if let Some(secs) = idle_timeout {
+        config.idle_timeout = Duration::from_secs(secs);
+    }
+    Ok(Some(ServeArgs {
+        config,
+        workers,
+        worker_max_cells,
+        verify_serial,
+        out_dir,
+    }))
+}
+
+/// Parses a numeric flag value, naming what was expected on failure.
+fn parse_number<T: FromStr>(value: &str, what: &str) -> Result<T, String> {
+    value.parse().map_err(|_| format!("bad {what} `{value}`"))
+}
+
+/// `repro serve ...`: the coordinator. With an empty start-up queue it
+/// is an always-on service that serves workers and accepts `repro
+/// submit` campaigns until killed; results live in the journals and
+/// (with `--store`) the result store, and `repro status` shows
+/// progress. With `--grid`/`--spec` campaigns it exits once they and
+/// any live submissions settle, and reports each merge.
+pub fn serve_main(args: &[String]) -> ExitCode {
+    let ServeArgs {
+        config,
+        workers,
+        worker_max_cells,
+        verify_serial,
+        out_dir,
+    } = match parse_serve(args) {
+        Ok(Some(parsed)) => parsed,
+        Ok(None) => {
+            println!("{}", serve_usage());
+            return ExitCode::SUCCESS;
+        }
         Err(e) => return usage_error(&e, &serve_usage()),
     };
 
-    let mut config = CoordinatorConfig::with_campaigns(bind.clone(), campaigns);
-    config.journal = journal;
-    config.store = store.clone();
-    config.policy = policy;
-    config.persistent = true;
-    let result = Coordinator::bind(config).and_then(|coordinator| {
-        eprintln!(
-            "serve: listening on {}{} — `repro submit --to` enqueues, `repro status --to` \
-             polls, `repro work --connect` computes; runs until killed",
-            coordinator
-                .local_addr()
-                .map(|a| a.to_string())
-                .unwrap_or(bind),
-            match &store {
-                Some(p) => format!(", store {}", p.display()),
-                None => String::new(),
+    let names: Vec<&str> = config.campaigns.iter().map(|c| c.name.as_str()).collect();
+    let total_cells: usize = config
+        .campaigns
+        .iter()
+        .map(|c| c.spec.plan().jobs.len())
+        .sum();
+    eprintln!(
+        "serve: {}, {} scheduling, {workers} local worker(s){}{}",
+        if config.persistent {
+            "always-on service (empty start-up queue)".to_string()
+        } else {
+            format!(
+                "{} campaign(s) [{}] ({total_cells} cells)",
+                names.len(),
+                names.join(", ")
+            )
+        },
+        match config.policy {
+            PolicyKind::Fifo => "fifo",
+            PolicyKind::WeightedRoundRobin => "fair (weighted round-robin)",
+        },
+        match &config.journal {
+            Some(p) => format!(", journal base {}", p.display()),
+            None => String::new(),
+        },
+        match &config.store {
+            Some(p) => format!(", store {}", p.display()),
+            None => String::new(),
+        }
+    );
+
+    let run = if workers > 0 {
+        run_local_cluster(config, workers, Parallelism::Auto, worker_max_cells).map(|report| {
+            for (i, worker) in report.workers.iter().enumerate() {
+                match worker {
+                    Ok(summary) => eprintln!(
+                        "worker {i}: {} cell(s), {}",
+                        summary.cells_executed,
+                        if summary.finished {
+                            "finished"
+                        } else {
+                            "left early"
+                        }
+                    ),
+                    Err(e) => eprintln!("worker {i}: failed after merge completed: {e}"),
+                }
             }
-        );
-        coordinator.serve()
-    });
-    // A persistent coordinator only returns on a service-level failure
-    // (bind error, unusable journal/store) — drained queues keep it
-    // alive, so Ok is unreachable short of an internal invariant break.
-    match result {
-        Ok(_) => ExitCode::SUCCESS,
+            report.run
+        })
+    } else {
+        let bind = config.bind.clone();
+        let until = if config.persistent {
+            "; runs until killed"
+        } else {
+            ""
+        };
+        Coordinator::bind(config).and_then(|coordinator| {
+            eprintln!(
+                "serve: listening on {} — `repro submit --to` enqueues, `repro status --to` \
+                 polls, `repro work --connect` computes{until}",
+                coordinator
+                    .local_addr()
+                    .map(|a| a.to_string())
+                    .unwrap_or(bind)
+            );
+            coordinator.serve()
+        })
+    };
+
+    // A persistent service only gets here on a service-level failure
+    // (bind error, unusable journal or store): drained queues keep it
+    // alive.
+    let run = match run {
+        Ok(run) => run,
         Err(e) => {
             eprintln!("serve FAILED: {e}");
-            ExitCode::FAILURE
+            return ExitCode::FAILURE;
+        }
+    };
+    for sweep in &run.campaigns {
+        if let Err(e) = report_sweep(sweep, out_dir.as_deref()) {
+            eprintln!("serve FAILED: {e}");
+            return ExitCode::FAILURE;
         }
     }
+    println!("_{} worker(s) served the fleet_\n", run.workers_seen);
+    if verify_serial {
+        // Every merged campaign is verified — including ones submitted
+        // to the running coordinator after bind (the merge carries its
+        // spec).
+        for sweep in &run.campaigns {
+            eprintln!(
+                "verify: re-running campaign `{}` serially for the golden comparison...",
+                sweep.name
+            );
+            match verify_against_serial(sweep) {
+                Ok(()) => println!(
+                    "_verify-serial `{}`: distributed merge is bit-identical to the \
+                     serial engine_",
+                    sweep.name
+                ),
+                Err(e) => {
+                    eprintln!("serve FAILED verification for `{}`: {e}", sweep.name);
+                    return ExitCode::FAILURE;
+                }
+            }
+        }
+    }
+    ExitCode::SUCCESS
 }
 
 /// `repro status ...`: one progress snapshot from a running
@@ -1010,10 +906,12 @@ pub fn store_main(args: &[String]) -> ExitCode {
                 Ok(v) => policy.max_records = Some(v),
                 Err(e) => return usage_error(&e, store_usage()),
             },
-            "--max-age-days" => match take("--max-age-days")
-                .and_then(|v| v.parse::<u64>().map_err(|_| format!("bad age cap `{v}`")))
-            {
-                Ok(v) => policy.max_age_secs = Some(v * 86_400),
+            "--max-age-days" => match take("--max-age-days").and_then(|v| {
+                let days: u64 = parse_number(&v, "age cap")?;
+                days.checked_mul(86_400)
+                    .ok_or_else(|| format!("age cap of {days} days overflows the seconds clock"))
+            }) {
+                Ok(secs) => policy.max_age_secs = Some(secs),
                 Err(e) => return usage_error(&e, store_usage()),
             },
             "--help" | "-h" => {
@@ -1134,10 +1032,33 @@ mod tests {
         assert!(diff_sweeps(&golden, &bad).is_err());
     }
 
+    /// A merged result shaped like `spec`'s plan: one cell per job and
+    /// the plan's axes, every cell at `accuracy`.
+    fn planned_result(spec: &CampaignSpec, accuracy: f64) -> SweepResult {
+        let plan = spec.plan();
+        SweepResult {
+            kind: spec.scenario.kind(),
+            baseline_accuracy: 0.55,
+            cells: plan
+                .jobs
+                .iter()
+                .map(|_| SweepCell {
+                    rel_change: 0.8,
+                    fraction: 1.0,
+                    accuracy,
+                    relative_change_percent: (accuracy - 0.55) / 0.55 * 100.0,
+                })
+                .collect(),
+            axes: plan.axes.clone(),
+        }
+    }
+
     #[test]
     fn sweep_table_has_one_row_per_cell() {
-        let table = sweep_table("tiny", &result(0.55, &[0.5, 0.3, 0.1]), None);
-        assert_eq!(table.len(), 3);
+        let spec = named_campaign("tiny").unwrap();
+        let sweep = planned_result(&spec, 0.3);
+        let table = sweep_table("tiny", &sweep, &spec);
+        assert_eq!(table.len(), sweep.cells.len());
         assert!(table.to_markdown().contains("baseline accuracy"));
         assert!(table.to_markdown().contains("`tiny`"));
     }
@@ -1148,45 +1069,160 @@ mod tests {
         use neurofi_core::{PowerTransferTable, ScenarioSpec};
         use neurofi_dist::SetupSpec;
 
-        let mut scenario =
-            ScenarioSpec::vdd(&[0.8, 1.0], &PowerTransferTable::paper_nominal(), &[42]);
-        scenario.axes.push(Axis::defenses(vec![
+        let plain = CampaignSpec {
+            setup: SetupSpec::bench(42),
+            scenario: ScenarioSpec::vdd(&[0.8, 1.0], &PowerTransferTable::paper_nominal(), &[42]),
+        };
+        let mut armed = plain.clone();
+        armed.scenario.axes.push(Axis::defenses(vec![
             DefenseSel::None,
             DefenseSel::BandgapThreshold,
         ]));
-        scenario
+        armed
+            .scenario
             .axes
             .push(Axis::detectors(vec![DetectorSel::DummyNeuron]));
-        let spec = CampaignSpec {
-            setup: SetupSpec::bench(42),
-            scenario,
-        };
-        spec.validate().unwrap();
-        let plan = spec.plan();
-        let sweep = SweepResult {
-            kind: AttackKind::GlobalVdd,
-            baseline_accuracy: 0.55,
-            cells: plan
-                .jobs
-                .iter()
-                .map(|_| SweepCell {
-                    rel_change: 0.8,
-                    fraction: 1.0,
-                    accuracy: 0.4,
-                    relative_change_percent: -27.0,
-                })
-                .collect(),
-            axes: plan.axes.clone(),
-        };
-        let rendered = sweep_table("shield", &sweep, Some(&spec)).to_markdown();
+        armed.validate().unwrap();
+        let sweep = planned_result(&armed, 0.4);
+        assert_eq!(sweep.kind, AttackKind::GlobalVdd);
+        let rendered = sweep_table("shield", &sweep, &armed).to_markdown();
         assert!(rendered.contains("overhead"), "{rendered}");
         assert!(rendered.contains("detection"), "{rendered}");
         assert!(rendered.contains("+65% area"), "{rendered}");
         assert!(rendered.contains("hit"), "{rendered}");
         assert!(rendered.contains("quiet"), "{rendered}");
-        // The same result without the spec falls back to the plain
-        // axis columns.
-        let plain = sweep_table("shield", &sweep, None).to_markdown();
-        assert!(!plain.contains("overhead"), "{plain}");
+        // A spec without countermeasure axes prints only the axis
+        // columns.
+        plain.validate().unwrap();
+        let rendered = sweep_table("vdd", &planned_result(&plain, 0.4), &plain).to_markdown();
+        assert!(!rendered.contains("overhead"), "{rendered}");
+        assert!(!rendered.contains("detection"), "{rendered}");
+    }
+
+    #[test]
+    fn report_sweep_always_names_the_csv_after_the_campaign() {
+        let dir = std::env::temp_dir().join(format!("neurofi-csv-name-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let spec = named_campaign("tiny").unwrap();
+        let result = planned_result(&spec, 0.3);
+        let sweep = CampaignSweep {
+            name: "tiny".into(),
+            total_cells: result.cells.len(),
+            resumed_cells: 0,
+            store_hit_cells: 0,
+            computed_cells: result.cells.len(),
+            spec,
+            result,
+        };
+        // A lone merged campaign gets the same name it would get beside
+        // others, so a live submission cannot rename its file.
+        report_sweep(&sweep, Some(&dir)).unwrap();
+        let csv = std::fs::read_to_string(dir.join("distributed_sweep.tiny.csv")).unwrap();
+        assert_eq!(csv.lines().count(), sweep.total_cells + 1, "{csv}");
+        assert!(!dir.join("distributed_sweep.csv").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|a| a.to_string()).collect()
+    }
+
+    fn parse(list: &[&str]) -> Result<ServeArgs, String> {
+        parse_serve(&args(list)).map(|parsed| parsed.expect("not a --help request"))
+    }
+
+    #[test]
+    fn serve_mode_follows_the_start_up_queue() {
+        let service = parse(&["--bind", "127.0.0.1:0", "--store", "s.store"]).unwrap();
+        assert!(service.config.persistent);
+        assert!(service.config.campaigns.is_empty());
+
+        let run = parse(&["--grid", "tiny", "--workers", "2", "--idle-timeout", "5"]).unwrap();
+        assert!(!run.config.persistent);
+        assert_eq!(run.workers, 2);
+        assert_eq!(run.config.bind, "127.0.0.1:0");
+        assert_eq!(run.config.idle_timeout, Duration::from_secs(5));
+
+        let run = parse(&["--grid", "tiny", "--bind", "127.0.0.1:0", "--verify-serial"]).unwrap();
+        assert!(!run.config.persistent);
+        assert_eq!(run.workers, 0);
+        assert!(run.verify_serial);
+
+        assert!(parse_serve(&args(&["--help"])).unwrap().is_none());
+    }
+
+    #[test]
+    fn serve_refuses_merge_flags_without_campaigns_and_campaigns_without_workers() {
+        // An empty queue is the always-on service: it needs --bind and
+        // never merges, so the merge-only flags are usage errors.
+        assert!(parse(&[]).unwrap_err().contains("--bind"));
+        for extra in [
+            &["--verify-serial"][..],
+            &["--out", "results"],
+            &["--idle-timeout", "5"],
+        ] {
+            let mut list = vec!["--bind", "127.0.0.1:0"];
+            list.extend_from_slice(extra);
+            let err = parse(&list).unwrap_err();
+            assert!(err.contains(extra[0]), "{extra:?}: {err}");
+            assert_ne!(serve_main(&args(&list)), ExitCode::SUCCESS);
+        }
+        // Campaigns need somebody to compute them.
+        assert!(parse(&["--grid", "tiny"])
+            .unwrap_err()
+            .contains("--workers"));
+        assert!(parse(&["--grid", "tiny", "--workers", "0"]).is_err());
+    }
+
+    #[test]
+    fn serve_rejects_a_repeated_weight_for_one_grid() {
+        let base = ["--grid", "tiny", "--grid", "tiny-theta", "--workers", "1"];
+        let mut list = base.to_vec();
+        list.extend_from_slice(&["--weight", "tiny=2", "--weight", "tiny=3"]);
+        assert!(parse(&list).unwrap_err().contains("twice"));
+
+        let mut list = base.to_vec();
+        list.extend_from_slice(&["--weight", "tiny-theta=3", "--fair"]);
+        let parsed = parse(&list).unwrap();
+        let weights: Vec<u32> = parsed.config.campaigns.iter().map(|c| c.weight).collect();
+        assert_eq!(weights, [1, 3]);
+        assert_eq!(parsed.config.policy, PolicyKind::WeightedRoundRobin);
+    }
+
+    #[test]
+    fn store_compact_refuses_an_overflowing_age_cap_and_keeps_the_store() {
+        let dir = std::env::temp_dir().join(format!("neurofi-age-cap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("results.store");
+        // Records stamped at the epoch: any real age cutoff, including
+        // the one a wrapped `D * 86_400` would produce, evicts them.
+        let bits = |v: f64| format!("{:016x}", v.to_bits());
+        let text = format!(
+            "neurofi-store v1\ncell {:016x} 1 {} {} {} {}\nbase {:016x} 1 {}\n",
+            7,
+            bits(-0.2),
+            bits(0.5),
+            bits(0.4),
+            bits(-27.0),
+            9,
+            bits(0.55)
+        );
+        std::fs::write(&path, &text).unwrap();
+
+        let path_arg = path.to_string_lossy().into_owned();
+        // 213503982334602 * 86400 wraps to about 17 hours in u64.
+        let code = store_main(&args(&[
+            "compact",
+            "--store",
+            &path_arg,
+            "--max-age-days",
+            "213503982334602",
+        ]));
+        assert_ne!(code, ExitCode::SUCCESS);
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        let stats = Store::open(&path).unwrap().stat().unwrap();
+        assert_eq!((stats.cells, stats.baselines), (1, 1));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

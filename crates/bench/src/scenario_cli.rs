@@ -289,7 +289,7 @@ pub fn sweep_main(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let table = crate::orchestrate::sweep_table(&campaign.name, &result, Some(&campaign.spec));
+    let table = crate::orchestrate::sweep_table(&campaign.name, &result, &campaign.spec);
     println!("{}", table.to_markdown());
     if let Some(worst) = result.worst_case() {
         println!(

@@ -13,7 +13,8 @@
 //! queued / running / done / resumed / store-hit counters.
 //!
 //! `repro submit --grid NAME --to HOST:PORT` and
-//! `repro status --to HOST:PORT` are the CLI front ends.
+//! `repro status --to HOST:PORT` are the CLI front ends; the coordinator
+//! they talk to is a `repro serve` process.
 //!
 //! Submission is **idempotent**, which makes retrying safe: the
 //! coordinator answers a resubmission whose name *and* digest match an
@@ -38,26 +39,15 @@ use crate::{DistError, RetryPolicy};
 /// this guards against a dead peer.
 pub const SUBMIT_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Submits one campaign to the coordinator at `addr` over TCP and
-/// returns the campaign id it was enqueued under.
-///
-/// # Errors
-/// Propagates connect/link failures; a coordinator rejection surfaces
-/// as [`DistError::Aborted`] with the coordinator's reason.
-pub fn submit_campaign(addr: &str, campaign: NamedCampaign) -> Result<u32, DistError> {
-    let stream = TcpStream::connect(addr)?;
-    let mut conn = TcpConnection::new(stream);
-    conn.set_recv_timeout(Some(SUBMIT_TIMEOUT));
-    submit_on(&mut conn, campaign)
-}
-
-/// Submits one campaign over an already-established [`Connection`] —
-/// the transport-generic core of [`submit_campaign`], also driven
+/// Submits one campaign over an already-established [`Connection`] and
+/// returns the campaign id it was enqueued under — the
+/// transport-generic core of [`submit_campaign_retrying`], also driven
 /// directly by the deterministic loopback tests. The connection can be
 /// reused for further submissions.
 ///
 /// # Errors
-/// See [`submit_campaign`].
+/// Propagates link failures; a coordinator rejection surfaces as
+/// [`DistError::Aborted`] with the coordinator's reason.
 pub fn submit_on<C: Connection>(conn: &mut C, campaign: NamedCampaign) -> Result<u32, DistError> {
     // Fail fast client-side: the coordinator's reader would refuse to
     // allocate an overlong name anyway, but that surfaces as an opaque

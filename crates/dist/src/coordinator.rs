@@ -42,7 +42,7 @@
 //! ends failed, naming each poisoned campaign with its failure log.
 
 use std::collections::VecDeque;
-use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::net::{SocketAddr, TcpListener};
 use std::path::{Path, PathBuf};
 use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
@@ -1517,26 +1517,6 @@ fn serve_worker<C: Connection>(mut conn: C, shared: &Shared, threads: u32, limit
     state.workers_connected -= 1;
     drop(state);
     shared.changed.notify_all();
-}
-
-/// Binds and serves in one call — the simple entry point when the bind
-/// address is already concrete.
-///
-/// # Errors
-/// See [`Coordinator::bind`] and [`Coordinator::serve`].
-pub fn run_coordinator(config: CoordinatorConfig) -> Result<CoordinatedRun, DistError> {
-    Coordinator::bind(config)?.serve()
-}
-
-/// Resolves a bind/connect string early so misconfigured addresses fail
-/// with a clear error instead of a hung socket.
-///
-/// # Errors
-/// Fails when the string resolves to no address.
-pub fn resolve_addr(addr: &str) -> Result<SocketAddr, DistError> {
-    addr.to_socket_addrs()?
-        .next()
-        .ok_or_else(|| DistError::Protocol(format!("`{addr}` resolves to no address")))
 }
 
 #[cfg(test)]

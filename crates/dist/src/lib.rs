@@ -57,20 +57,22 @@
 //! ## Quickstart (in-process cluster over localhost TCP)
 //!
 //! ```no_run
-//! use neurofi_dist::{named_campaign, run_local_cluster, LocalClusterConfig, NamedCampaign};
+//! use neurofi_core::Parallelism;
+//! use neurofi_dist::{named_campaign, run_local_cluster, CoordinatorConfig, NamedCampaign};
 //!
 //! let campaigns = vec![
 //!     NamedCampaign::new("tiny", named_campaign("tiny").unwrap()),
 //!     NamedCampaign::new("tiny-theta", named_campaign("tiny-theta").unwrap()),
 //! ];
-//! let report = run_local_cluster(&LocalClusterConfig::multi(campaigns, 2))?;
+//! let config = CoordinatorConfig::with_campaigns("127.0.0.1:0", campaigns);
+//! let report = run_local_cluster(config, 2, Parallelism::Serial, None)?;
 //! for sweep in &report.run.campaigns {
 //!     println!("campaign `{}`: {} cells merged", sweep.name, sweep.result.cells.len());
 //! }
 //! # Ok::<(), neurofi_dist::DistError>(())
 //! ```
 //!
-//! Across machines, run `repro coordinate` on one host and
+//! Across machines, run `repro serve` on one host and
 //! `repro work --connect host:port` on the rest.
 
 #![deny(missing_docs)]
@@ -100,12 +102,11 @@ pub use chaos::{
 };
 pub use checkpoint::Journal;
 pub use control::{
-    query_status, query_status_on, submit_campaign, submit_campaign_retrying, submit_on,
-    submit_with_retry,
+    query_status, query_status_on, submit_campaign_retrying, submit_on, submit_with_retry,
 };
 pub use coordinator::{
-    campaign_journal_path, capacity_batch, resolve_addr, run_coordinator, serve_transport,
-    CampaignSweep, CoordinatedRun, Coordinator, CoordinatorConfig, CELLS_PER_THREAD,
+    campaign_journal_path, capacity_batch, serve_transport, CampaignSweep, CoordinatedRun,
+    Coordinator, CoordinatorConfig, CELLS_PER_THREAD,
 };
 pub use schedule::{Candidate, Fifo, PolicyKind, SchedulingPolicy, WeightedRoundRobin};
 pub use transport::{
@@ -273,14 +274,6 @@ impl RetryPolicy {
         }
     }
 
-    /// Default backoff shape with the given retry budget.
-    pub fn with_retries(max_retries: u32) -> RetryPolicy {
-        RetryPolicy {
-            max_retries,
-            ..RetryPolicy::default()
-        }
-    }
-
     /// Same policy, different jitter seed (give each worker its own).
     pub fn with_seed(mut self, seed: u64) -> RetryPolicy {
         self.seed = seed;
@@ -297,75 +290,6 @@ impl RetryPolicy {
     }
 }
 
-/// Configuration for [`run_local_cluster`]: one coordinator plus `n`
-/// worker threads in this process, talking real TCP over localhost.
-#[derive(Debug, Clone)]
-pub struct LocalClusterConfig {
-    /// The campaigns to queue, in order.
-    pub campaigns: Vec<NamedCampaign>,
-    /// Cross-campaign scheduling policy (FIFO unless overridden).
-    pub policy: schedule::PolicyKind,
-    /// Number of local workers to spawn.
-    pub workers: usize,
-    /// Bind address for the coordinator (default `127.0.0.1:0`).
-    pub bind: String,
-    /// Per-worker cell-level parallelism.
-    pub worker_parallelism: Parallelism,
-    /// Optional per-worker cell budget (workers vanish after this many
-    /// cells — used to exercise requeue/resume).
-    pub worker_max_cells: Option<usize>,
-    /// Checkpoint journal path.
-    pub journal: Option<PathBuf>,
-    /// Content-addressed result store path (cross-campaign dedup).
-    pub store: Option<PathBuf>,
-    /// Coordinator idle timeout (how long pending work may sit with no
-    /// connected workers before the run returns [`DistError::Incomplete`]).
-    pub idle_timeout: Duration,
-    /// Worker-side socket timeout. Scheduling replies are immediate
-    /// (the coordinator heartbeats while work is in flight elsewhere),
-    /// so this only guards against a dead coordinator.
-    pub io_timeout: Duration,
-    /// Coordinator-side silence tolerance per worker. This must cover a
-    /// worker's longest baseline-training plus batch-computation gap —
-    /// paper-scale cells take minutes — and is therefore much larger
-    /// than `io_timeout`.
-    pub worker_timeout: Duration,
-    /// Worker reconnect policy. Defaults to [`RetryPolicy::none`]: an
-    /// in-process cluster's coordinator and workers die together, so
-    /// reconnect attempts after the run ends would only delay exit.
-    /// Long-lived multi-machine workers (`repro work`) default to
-    /// retrying instead.
-    pub worker_retry: RetryPolicy,
-}
-
-impl LocalClusterConfig {
-    /// Single-campaign defaults: loopback auto-port, serial workers
-    /// (the cluster itself provides the parallelism), no budget, no
-    /// journal. The campaign is queued under the name `main`.
-    pub fn new(campaign: CampaignSpec, workers: usize) -> LocalClusterConfig {
-        LocalClusterConfig::multi(vec![NamedCampaign::new("main", campaign)], workers)
-    }
-
-    /// Queues several campaigns on one coordinator with the same
-    /// defaults.
-    pub fn multi(campaigns: Vec<NamedCampaign>, workers: usize) -> LocalClusterConfig {
-        LocalClusterConfig {
-            campaigns,
-            policy: schedule::PolicyKind::Fifo,
-            workers,
-            bind: "127.0.0.1:0".into(),
-            worker_parallelism: Parallelism::Serial,
-            worker_max_cells: None,
-            journal: None,
-            store: None,
-            idle_timeout: Duration::from_secs(10),
-            io_timeout: Duration::from_secs(60),
-            worker_timeout: Duration::from_secs(600),
-            worker_retry: RetryPolicy::none(),
-        }
-    }
-}
-
 /// What a local cluster run produced.
 #[derive(Debug)]
 pub struct LocalClusterReport {
@@ -377,38 +301,38 @@ pub struct LocalClusterReport {
     pub workers: Vec<Result<WorkerSummary, DistError>>,
 }
 
-/// Runs a coordinator and `n` in-process workers over localhost TCP and
-/// returns the merged sweep. The transport is the real wire protocol —
-/// this is the same code path as a multi-machine campaign, minus the
-/// machines.
+/// Runs `config`'s coordinator and `workers` in-process workers over
+/// localhost TCP and returns the merged sweeps. The transport is the
+/// real wire protocol — this is the same code path as a multi-machine
+/// campaign, minus the machines.
+///
+/// Each worker runs its batches on a `parallelism`-wide pool and, with
+/// `max_cells`, leaves after that many cells (preemption — exercises
+/// the requeue/resume path). Workers never reconnect
+/// ([`RetryPolicy::none`]: they and their coordinator die together, so
+/// redialling after the run ends would only delay exit) and keep
+/// [`WorkerConfig::new`]'s 60 s I/O timeout.
 ///
 /// # Errors
 /// Propagates the coordinator's failure (worker failures are reported in
 /// the [`LocalClusterReport`] but only fail the run when the coordinator
 /// also fails).
-pub fn run_local_cluster(config: &LocalClusterConfig) -> Result<LocalClusterReport, DistError> {
-    let mut coordinator_config =
-        CoordinatorConfig::with_campaigns(config.bind.clone(), config.campaigns.clone());
-    coordinator_config.journal = config.journal.clone();
-    coordinator_config.store = config.store.clone();
-    coordinator_config.policy = config.policy;
-    coordinator_config.idle_timeout = config.idle_timeout;
-    coordinator_config.worker_timeout = config.worker_timeout;
-
-    let coordinator = Coordinator::bind(coordinator_config)?;
+pub fn run_local_cluster(
+    config: CoordinatorConfig,
+    workers: usize,
+    parallelism: Parallelism,
+    max_cells: Option<usize>,
+) -> Result<LocalClusterReport, DistError> {
+    let coordinator = Coordinator::bind(config)?;
     let addr = coordinator.local_addr()?;
 
     std::thread::scope(|scope| {
-        let worker_handles: Vec<_> = (0..config.workers)
-            .map(|i| {
+        let worker_handles: Vec<_> = (0..workers)
+            .map(|_| {
                 let worker_config = WorkerConfig {
-                    parallelism: config.worker_parallelism,
-                    max_cells: config.worker_max_cells,
-                    io_timeout: config.io_timeout,
-                    retry: config
-                        .worker_retry
-                        .clone()
-                        .with_seed(config.worker_retry.seed.wrapping_add(i as u64)),
+                    parallelism,
+                    max_cells,
+                    retry: RetryPolicy::none(),
                     ..WorkerConfig::new(addr.to_string())
                 };
                 scope.spawn(move || run_worker(&worker_config))

@@ -51,7 +51,7 @@ pub enum PolicyKind {
     #[default]
     Fifo,
     /// Rotate over schedulable campaigns, serving each `weight`
-    /// consecutive batches per turn (`repro coordinate --fair`).
+    /// consecutive batches per turn (`repro serve --fair`).
     WeightedRoundRobin,
 }
 

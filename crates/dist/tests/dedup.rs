@@ -13,9 +13,9 @@
 use std::path::PathBuf;
 
 use neurofi_core::sweep::SweepResult;
-use neurofi_core::{ScenarioSpec, TargetLayer};
+use neurofi_core::{Parallelism, ScenarioSpec, TargetLayer};
 use neurofi_dist::{
-    named_campaign, run_local_cluster, CampaignSpec, LocalClusterConfig, NamedCampaign, SetupSpec,
+    named_campaign, run_local_cluster, CampaignSpec, CoordinatorConfig, NamedCampaign, SetupSpec,
 };
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -79,9 +79,9 @@ fn overlapping_campaigns_dedupe_to_store_hits() {
 
     // Cold pass: nothing in the store, every cell computed by workers.
     let cold_campaign = NamedCampaign::new("cold".to_string(), tiny.clone());
-    let mut config = LocalClusterConfig::multi(vec![cold_campaign], 2);
+    let mut config = CoordinatorConfig::with_campaigns("127.0.0.1:0", vec![cold_campaign]);
     config.store = Some(store.clone());
-    let cold = run_local_cluster(&config).unwrap();
+    let cold = run_local_cluster(config, 2, Parallelism::Serial, None).unwrap();
     let sweep = &cold.run.campaigns[0];
     assert_eq!(sweep.total_cells, 6);
     assert_eq!(sweep.store_hit_cells, 0);
@@ -92,9 +92,9 @@ fn overlapping_campaigns_dedupe_to_store_hits() {
     // Warm pass: the same resolved spec under a different campaign name
     // fills entirely from the store — zero cells reach a worker.
     let warm_campaign = NamedCampaign::new("warm".to_string(), tiny.clone());
-    let mut config = LocalClusterConfig::multi(vec![warm_campaign], 2);
+    let mut config = CoordinatorConfig::with_campaigns("127.0.0.1:0", vec![warm_campaign]);
     config.store = Some(store.clone());
-    let warm = run_local_cluster(&config).unwrap();
+    let warm = run_local_cluster(config, 2, Parallelism::Serial, None).unwrap();
     let sweep = &warm.run.campaigns[0];
     assert_eq!(sweep.total_cells, 6);
     assert_eq!(sweep.store_hit_cells, 6, "all-in-store scenario");
@@ -111,9 +111,9 @@ fn overlapping_campaigns_dedupe_to_store_hits() {
     let superset = superset_spec();
     let superset_serial = superset.run_serial().unwrap();
     let super_campaign = NamedCampaign::new("superset".to_string(), superset);
-    let mut config = LocalClusterConfig::multi(vec![super_campaign], 2);
+    let mut config = CoordinatorConfig::with_campaigns("127.0.0.1:0", vec![super_campaign]);
     config.store = Some(store);
-    let partial = run_local_cluster(&config).unwrap();
+    let partial = run_local_cluster(config, 2, Parallelism::Serial, None).unwrap();
     let sweep = &partial.run.campaigns[0];
     assert_eq!(sweep.total_cells, 8);
     assert_eq!(sweep.store_hit_cells, 6, "shared cells dedupe across grids");

@@ -8,8 +8,9 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use neurofi_core::sweep::SweepResult;
+use neurofi_core::Parallelism;
 use neurofi_dist::{
-    campaign_journal_path, named_campaign, run_local_cluster, DistError, LocalClusterConfig,
+    campaign_journal_path, named_campaign, run_local_cluster, CoordinatorConfig, DistError,
     NamedCampaign,
 };
 
@@ -56,7 +57,8 @@ fn sharded_sweep_is_bit_identical_to_serial() {
         serial.cells.iter().map(|c| c.accuracy.to_bits()).collect();
     assert!(distinct.len() >= 2, "golden surface is flat");
 
-    let report = run_local_cluster(&LocalClusterConfig::new(campaign, 2)).unwrap();
+    let config = CoordinatorConfig::new("127.0.0.1:0", campaign);
+    let report = run_local_cluster(config, 2, Parallelism::Serial, None).unwrap();
     let sweep = &report.run.campaigns[0];
     assert_bit_identical(&sweep.result, &serial);
     assert_eq!(sweep.total_cells, serial.cells.len());
@@ -98,7 +100,8 @@ fn two_campaigns_share_one_fleet_and_stay_bit_identical() {
     assert!(distinct.len() >= 2, "theta golden surface is flat");
 
     let total = campaigns[0].spec.plan().jobs.len() + campaigns[1].spec.plan().jobs.len();
-    let report = run_local_cluster(&LocalClusterConfig::multi(campaigns, 2)).unwrap();
+    let config = CoordinatorConfig::with_campaigns("127.0.0.1:0", campaigns);
+    let report = run_local_cluster(config, 2, Parallelism::Serial, None).unwrap();
     assert_eq!(report.run.campaigns.len(), 2);
     assert_eq!(report.run.campaigns[0].name, "tiny");
     assert_eq!(report.run.campaigns[1].name, "tiny-theta");
@@ -130,11 +133,10 @@ fn killed_workers_then_resume_completes_without_recompute() {
     // Phase 1: two workers that each execute exactly one cell and then
     // vanish mid-campaign (the preemption path). With nobody left to
     // serve, the coordinator gives up quickly and checkpoints progress.
-    let mut interrupted = LocalClusterConfig::new(campaign.clone(), 2);
+    let mut interrupted = CoordinatorConfig::new("127.0.0.1:0", campaign.clone());
     interrupted.journal = Some(journal.clone());
-    interrupted.worker_max_cells = Some(1);
     interrupted.idle_timeout = Duration::from_millis(400);
-    let err = run_local_cluster(&interrupted).unwrap_err();
+    let err = run_local_cluster(interrupted, 2, Parallelism::Serial, Some(1)).unwrap_err();
     match err {
         DistError::Incomplete {
             done,
@@ -161,9 +163,9 @@ fn killed_workers_then_resume_completes_without_recompute() {
 
     // Phase 2: resume with healthy workers. Only the four unfinished
     // cells may be computed; the journal supplies the rest.
-    let mut resumed = LocalClusterConfig::new(campaign.clone(), 2);
+    let mut resumed = CoordinatorConfig::new("127.0.0.1:0", campaign.clone());
     resumed.journal = Some(journal.clone());
-    let report = run_local_cluster(&resumed).unwrap();
+    let report = run_local_cluster(resumed, 2, Parallelism::Serial, None).unwrap();
     let sweep = &report.run.campaigns[0];
     assert_eq!(sweep.resumed_cells, 2);
     assert_eq!(sweep.computed_cells, total - 2);
@@ -183,10 +185,10 @@ fn killed_workers_then_resume_completes_without_recompute() {
     assert_bit_identical(&sweep.result, &serial);
 
     // Resuming a *complete* journal computes nothing at all.
-    let mut replay = LocalClusterConfig::new(campaign, 0);
+    let mut replay = CoordinatorConfig::new("127.0.0.1:0", campaign);
     replay.journal = Some(journal);
     replay.idle_timeout = Duration::from_millis(400);
-    let report = run_local_cluster(&replay).unwrap();
+    let report = run_local_cluster(replay, 0, Parallelism::Serial, None).unwrap();
     let sweep = &report.run.campaigns[0];
     assert_eq!(sweep.resumed_cells, total);
     assert_eq!(sweep.computed_cells, 0);
@@ -208,11 +210,10 @@ fn multi_campaign_kill_and_resume_skips_finished_cells_in_every_campaign() {
 
     // Phase 1: preempted workers leave the run incomplete; each
     // campaign journals to its own digest-bound file.
-    let mut interrupted = LocalClusterConfig::multi(campaigns.clone(), 2);
+    let mut interrupted = CoordinatorConfig::with_campaigns("127.0.0.1:0", campaigns.clone());
     interrupted.journal = Some(journal.clone());
-    interrupted.worker_max_cells = Some(2);
     interrupted.idle_timeout = Duration::from_millis(400);
-    let err = run_local_cluster(&interrupted).unwrap_err();
+    let err = run_local_cluster(interrupted, 2, Parallelism::Serial, Some(2)).unwrap_err();
     let done = match err {
         DistError::Incomplete { done, total: t, .. } => {
             assert_eq!(t, total);
@@ -232,9 +233,9 @@ fn multi_campaign_kill_and_resume_skips_finished_cells_in_every_campaign() {
 
     // Phase 2: resume with healthy workers; finished cells from *both*
     // campaigns are recovered, only the remainder is computed.
-    let mut resumed = LocalClusterConfig::multi(campaigns.clone(), 2);
+    let mut resumed = CoordinatorConfig::with_campaigns("127.0.0.1:0", campaigns.clone());
     resumed.journal = Some(journal.clone());
-    let report = run_local_cluster(&resumed).unwrap();
+    let report = run_local_cluster(resumed, 2, Parallelism::Serial, None).unwrap();
     let resumed_total: usize = report.run.campaigns.iter().map(|c| c.resumed_cells).sum();
     let computed_total: usize = report.run.campaigns.iter().map(|c| c.computed_cells).sum();
     assert_eq!(resumed_total, done, "every journaled cell must be resumed");
@@ -251,10 +252,10 @@ fn multi_campaign_kill_and_resume_skips_finished_cells_in_every_campaign() {
     }
 
     // Phase 3: replaying the fully complete journals computes nothing.
-    let mut replay = LocalClusterConfig::multi(campaigns, 0);
+    let mut replay = CoordinatorConfig::with_campaigns("127.0.0.1:0", campaigns);
     replay.journal = Some(journal);
     replay.idle_timeout = Duration::from_millis(400);
-    let report = run_local_cluster(&replay).unwrap();
+    let report = run_local_cluster(replay, 0, Parallelism::Serial, None).unwrap();
     for (sweep, &t) in report.run.campaigns.iter().zip(&totals) {
         assert_eq!(sweep.resumed_cells, t);
         assert_eq!(sweep.computed_cells, 0);
@@ -293,7 +294,8 @@ fn custom_cross_product_scenario_is_bit_identical_to_serial() {
         serial.cells.iter().map(|c| c.accuracy.to_bits()).collect();
     assert!(distinct.len() >= 2, "cross-product surface is flat");
 
-    let report = run_local_cluster(&LocalClusterConfig::multi(vec![campaign], 2)).unwrap();
+    let config = CoordinatorConfig::with_campaigns("127.0.0.1:0", vec![campaign]);
+    let report = run_local_cluster(config, 2, Parallelism::Serial, None).unwrap();
     let sweep = &report.run.campaigns[0];
     assert_eq!(sweep.name, "cross");
     assert_bit_identical(&sweep.result, &serial);
