@@ -18,6 +18,12 @@ use crate::attacks::{Attack, AttackOutcome, ExperimentSetup, GlobalVddAttack, Ru
 use crate::error::Error;
 use crate::injection::FaultPlan;
 
+/// First-inverter N:P width ratio of the paper's sizing defense
+/// (Fig. 9c, W/L = 32:1), at which [`Defense::sized_neuron_paper`]'s
+/// residual factor was measured. Layer cells build their sized neuron
+/// with it.
+pub(crate) const SIZED_NEURON_RATIO: f64 = 32.0;
+
 /// One of the paper's defenses.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Defense {

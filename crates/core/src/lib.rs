@@ -21,11 +21,11 @@
 //!   arbitrary cross products (e.g. threshold × VDD) alike.
 //! * [`sweep`] — the parallel grid-sweep engine that regenerates the
 //!   paper's accuracy surfaces on a work-stealing pool with memoised
-//!   per-seed baselines ([`BaselineCache`]); serial and parallel runs
-//!   are bit-identical. The engine is staged (enumerate → execute →
-//!   assemble) so external schedulers like the `neurofi-dist`
-//!   coordinator can run the same [`CellJob`]s on other machines, and
-//!   results are addressed by axis indices
+//!   per-seed baselines and layer references ([`BaselineCache`]);
+//!   serial and parallel runs are bit-identical. The engine is staged
+//!   (enumerate → execute → assemble) so external schedulers like the
+//!   `neurofi-dist` coordinator can run the same [`CellJob`]s on other
+//!   machines, and results are addressed by axis indices
 //!   ([`sweep::SweepResult::cell_at`]).
 //! * [`defense`] — the §V defenses (robust driver, bandgap threshold,
 //!   neuron sizing, comparator first stage) as transfer-function

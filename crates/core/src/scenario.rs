@@ -47,6 +47,7 @@
 //! so `repro submit` can enqueue arbitrary grids on a running
 //! coordinator, and the preset catalog is nothing but named specs.
 
+use std::collections::BTreeSet;
 use std::fmt;
 use std::str::FromStr;
 
@@ -55,7 +56,7 @@ use neurofi_analog::{PowerTransferTable, TransferPoint};
 use crate::defense::Defense;
 use crate::error::Error;
 use crate::injection::TargetLayer;
-use crate::sweep::{CellAttack, CellJob, SweepPlan};
+use crate::sweep::{layer_design, CellAttack, CellJob, SweepPlan};
 use crate::threat::AttackKind;
 
 /// Hard cap on axes per scenario (the attack space has ten axis
@@ -106,7 +107,8 @@ pub enum AxisKind {
     /// Number of neuron instances in the whole-layer netlist workload:
     /// cells with this axis simulate the actual analog layer (shared
     /// supply rail, per-neuron parasitics) at the cell's VDD instead of
-    /// the network-level accuracy model (vdd family only).
+    /// the network-level accuracy model (vdd family only, and no
+    /// `theta_change` axis: the netlist has no theta input).
     Neurons,
 }
 
@@ -232,7 +234,7 @@ impl fmt::Display for LayerSel {
 /// `None` is the undefended circuit, everything else maps onto a
 /// [`Defense`] variant (with `sized_neuron` fixed at the paper's
 /// measured residual factor).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DefenseSel {
     /// No hardening — the undefended circuit (the legacy default).
     None,
@@ -1081,8 +1083,9 @@ impl ScenarioSpec {
             }
             // The layer-netlist workload simulates the actual analog
             // layer at the cell's supply voltage, so it only composes
-            // with the vdd family; defenses must have a circuit
-            // realisation in the layer (the transfer-table-only
+            // with the vdd family and no theta change (the netlist has
+            // no theta input); every layer size × defense must be a
+            // buildable layer design (the transfer-table-only
             // hardenings would be silent no-ops).
             AxisKind::Neurons => {
                 let AxisValues::Neurons(values) = &axis.values else {
@@ -1097,32 +1100,23 @@ impl ScenarioSpec {
                         self.family
                     )));
                 }
-                if let Some(bad) = values
-                    .iter()
-                    .copied()
-                    .find(|&n| n == 0 || n > MAX_LAYER_NEURONS)
-                {
-                    return Err(Error::Invalid(format!(
-                        "axis `neurons`: layer sizes must be within \
-                         [1, {MAX_LAYER_NEURONS}] (got {bad})"
-                    )));
+                if self.axis(AxisKind::ThetaChange).is_some() {
+                    return Err(Error::Invalid(
+                        "a neurons axis cannot be combined with a theta_change axis \
+                         (the layer netlist has no theta input)"
+                            .into(),
+                    ));
                 }
-                if let Some(Axis {
-                    values: AxisValues::Defense(defenses),
-                    ..
-                }) = self.axis(AxisKind::Defense)
-                {
-                    if let Some(bad) = defenses.iter().copied().find(|d| {
-                        !matches!(
-                            d,
-                            DefenseSel::None | DefenseSel::SizedNeuron | DefenseSel::Comparator
-                        )
-                    }) {
-                        return Err(Error::Invalid(format!(
-                            "defense `{bad}` has no circuit realisation in the \
-                             layer netlist (layer defenses: none sized_neuron \
-                             comparator)"
-                        )));
+                let defenses: BTreeSet<DefenseSel> = match self.axis(AxisKind::Defense) {
+                    Some(Axis {
+                        values: AxisValues::Defense(defenses),
+                        ..
+                    }) => defenses.iter().copied().collect(),
+                    _ => BTreeSet::from([DefenseSel::None]),
+                };
+                for &neurons in values {
+                    for &defense in &defenses {
+                        layer_design(neurons, defense)?;
                     }
                 }
                 Ok(())
@@ -1893,6 +1887,28 @@ mod tests {
         assert!(text.contains("axis neurons = 4, 32"), "{text}");
         let reparsed: ScenarioSpec = text.parse().unwrap();
         assert_eq!(reparsed, spec);
+    }
+
+    #[test]
+    fn a_neurons_axis_rejects_a_theta_change_axis() {
+        // The layer netlist has no theta input: a theta_change axis
+        // beside a neurons axis would be dropped from every layer cell,
+        // so the spec is rejected, while vdd × theta_change without a
+        // neurons axis stays a valid composite.
+        let mut spec = ScenarioSpec {
+            family: AttackFamily::Vdd,
+            axes: vec![
+                Axis::real(AxisKind::Vdd, vec![0.8, 1.0]),
+                Axis::real(AxisKind::ThetaChange, vec![0.1]),
+                Axis::neurons(vec![2]),
+            ],
+            seeds: vec![42],
+            transfer: Some(PowerTransferTable::paper_nominal().points().to_vec()),
+        };
+        let err = spec.validate().unwrap_err();
+        assert!(matches!(err, Error::Invalid(_)), "{err}");
+        spec.axes.pop();
+        spec.validate().unwrap();
     }
 
     #[test]

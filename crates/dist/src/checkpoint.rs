@@ -8,9 +8,10 @@
 //!
 //! Robustness properties:
 //!
-//! * The header binds the journal to one [`CampaignSpec`] digest and
-//!   cell count; resuming with a different campaign is refused instead
-//!   of silently merging incompatible grids.
+//! * The header binds the journal to one
+//!   [`CampaignSpec`](crate::CampaignSpec) digest and cell count;
+//!   resuming with a different campaign is refused instead of silently
+//!   merging incompatible grids.
 //! * Floats are stored as 16-digit hex IEEE-754 bit patterns, so a
 //!   resumed merge stays *bit*-identical to an uninterrupted run.
 //! * Appends are flushed per record, and a torn trailing line (from a

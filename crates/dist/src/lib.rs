@@ -22,19 +22,17 @@
 //!   [`NamedCampaign`] queues several on one coordinator, each with a
 //!   scheduling weight.
 //! * [`wire`] — length-prefixed framing and defensive binary encoding of
-//!   the coordinator/worker [`Message`](wire::Message)s (v4: campaigns
-//!   carry whole scenario specs, and cell jobs carry resolved composite
-//!   attacks, so live [`Submit`](wire::Message::Submit) frames can
-//!   enqueue *arbitrary* cross-product grids — not just catalog names);
-//!   floats travel as IEEE-754 bit patterns.
-//! * [`transport`] — the [`Connection`](transport::Connection) /
-//!   [`Listener`](transport::Listener) abstraction the coordinator and
-//!   worker are generic over: TCP in production, a deterministic
-//!   in-process [`LoopbackHub`](transport::LoopbackHub) in the scheduler
-//!   tests (no ports, no timing sleeps).
-//! * [`schedule`] — pluggable cross-campaign
-//!   [`SchedulingPolicy`](schedule::SchedulingPolicy): FIFO for
-//!   compatibility, weighted round-robin (`--fair`) so interleaved
+//!   the coordinator/worker [`Message`]s (v4: campaigns carry whole
+//!   scenario specs, and cell jobs carry resolved composite attacks, so
+//!   live [`Submit`](wire::Message::Submit) frames can enqueue
+//!   *arbitrary* cross-product grids — not just catalog names); floats
+//!   travel as IEEE-754 bit patterns.
+//! * [`transport`] — the [`Connection`] / [`Listener`] abstraction the
+//!   coordinator and worker are generic over: TCP in production, a
+//!   deterministic in-process [`LoopbackHub`] in the scheduler tests (no
+//!   ports, no timing sleeps).
+//! * [`schedule`] — pluggable cross-campaign [`SchedulingPolicy`]: FIFO
+//!   for compatibility, weighted round-robin (`--fair`) so interleaved
 //!   campaigns all make latency progress. Policies cannot affect merged
 //!   results — cells are pure and merges slot-addressed.
 //! * [`coordinator`] — pull-based multi-campaign scheduler: one fleet
@@ -49,8 +47,8 @@
 //! * [`worker`] — executes campaign-tagged batches on the PR 1
 //!   in-process pool; campaigns over the same setup share one
 //!   [`BaselineCache`](neurofi_core::BaselineCache) per process, so
-//!   per-seed baselines are trained once no matter how many attack
-//!   kinds are queued or submitted.
+//!   per-seed baselines are trained, and layer references simulated,
+//!   once no matter how many campaigns are queued or submitted.
 //! * [`checkpoint`] — the append-only journals (one per campaign)
 //!   interrupted runs resume from without recomputing finished cells.
 //!

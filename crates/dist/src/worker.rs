@@ -9,8 +9,9 @@
 //! caches are shared across campaigns**: campaigns whose [`SetupSpec`]
 //! is identical (the common case — several attack kinds over one
 //! experiment) resolve to one [`BaselineCache`], so each per-seed
-//! baseline is trained at most once per process no matter how many
-//! campaigns are queued or submitted.
+//! baseline is trained, and each layer design's nominal reference
+//! simulated, at most once per process no matter how many campaigns
+//! are queued or submitted.
 //!
 //! Results stream back in acknowledgement windows: the worker sends one
 //! [`Message::Results`] window, waits for the coordinator's
@@ -38,7 +39,7 @@
 //! * the coordinator requeues a dead worker's in-flight cells, and its
 //!   duplicate-delivery tolerance accepts a re-executed cell as long as
 //!   the bits match, so the lost unacked window is simply re-executed;
-//! * [`WorkerRuntimes`] (baseline caches keyed by setup) survives
+//! * `WorkerRuntimes` (baseline caches keyed by setup) survives
 //!   across sessions in-process, so a reconnect retrains nothing;
 //! * the re-handshake is *reconciled* against what the worker already
 //!   knows: campaign ids must map to the same name + digest as before,

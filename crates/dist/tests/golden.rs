@@ -123,6 +123,58 @@ fn two_campaigns_share_one_fleet_and_stay_bit_identical() {
 }
 
 #[test]
+fn layer_campaigns_share_one_fleet_and_stay_bit_identical() {
+    // Two layer-netlist campaigns over one setup and one layer design
+    // (2 undefended neurons) with disjoint off-nominal supplies, so both
+    // read the design's nominal reference from each worker's per-setup
+    // cache. Each merge must still be bit-identical to its campaign's
+    // serial run.
+    let layer = |name: &str, vdd: f64| {
+        neurofi_dist::parse_campaign_text(&format!(
+            "name = {name}\n\
+             setup = bench\n\
+             attack = vdd\n\
+             axis vdd = {vdd}, 1\n\
+             axis neurons = 2\n\
+             seeds = 42\n\
+             transfer = paper\n"
+        ))
+        .unwrap()
+        .into_named(name)
+    };
+    let campaigns = vec![layer("layer-deep", 0.7), layer("layer-low", 0.8)];
+    let serial: Vec<SweepResult> = campaigns
+        .iter()
+        .map(|c| c.spec.run_serial().unwrap())
+        .collect();
+    for result in &serial {
+        // The off-nominal cell must differ from its nominal reference,
+        // or a slot or reference mix-up would be invisible.
+        assert_ne!(
+            result.cells[0].accuracy.to_bits(),
+            result.cells[1].accuracy.to_bits(),
+            "layer surface is flat"
+        );
+    }
+
+    let total: usize = serial.iter().map(|s| s.cells.len()).sum();
+    let config = CoordinatorConfig::with_campaigns("127.0.0.1:0", campaigns);
+    let report = run_local_cluster(config, 2, Parallelism::Serial, None).unwrap();
+    assert_eq!(report.run.campaigns.len(), 2);
+    for (sweep, serial) in report.run.campaigns.iter().zip(&serial) {
+        assert_bit_identical(&sweep.result, serial);
+        assert_eq!(sweep.computed_cells, serial.cells.len());
+    }
+    assert_eq!(report.run.workers_seen, 2, "one fleet serves both");
+    let executed: usize = report
+        .workers
+        .iter()
+        .map(|w| w.as_ref().expect("worker failed").cells_executed)
+        .sum();
+    assert_eq!(executed, total);
+}
+
+#[test]
 fn killed_workers_then_resume_completes_without_recompute() {
     let dir = temp_dir("resume");
     let journal = dir.join("campaign.journal");
