@@ -206,11 +206,7 @@ pub fn diff_sweeps(serial: &SweepResult, merged: &SweepResult) -> Result<(), Str
         ));
     }
     for (i, (s, d)) in serial.cells.iter().zip(&merged.cells).enumerate() {
-        if s.accuracy.to_bits() != d.accuracy.to_bits()
-            || s.rel_change.to_bits() != d.rel_change.to_bits()
-            || s.fraction.to_bits() != d.fraction.to_bits()
-            || s.relative_change_percent.to_bits() != d.relative_change_percent.to_bits()
-        {
+        if !s.same_bits(d) {
             return Err(format!(
                 "cell {i} diverged: serial {s:?} vs distributed {d:?}"
             ));
@@ -924,6 +920,13 @@ pub fn store_main(args: &[String]) -> ExitCode {
     let Some(path) = path else {
         return usage_error("--store is required", store_usage());
     };
+    // Opening creates a missing store, which would make a mistyped path
+    // read as an empty store; maintenance only ever works on one that
+    // exists.
+    if !path.exists() {
+        eprintln!("store FAILED: no store at {}", path.display());
+        return ExitCode::FAILURE;
+    }
 
     let mut store = match Store::open(&path) {
         Ok(store) => store,
@@ -1187,6 +1190,19 @@ mod tests {
         let weights: Vec<u32> = parsed.config.campaigns.iter().map(|c| c.weight).collect();
         assert_eq!(weights, [1, 3]);
         assert_eq!(parsed.config.policy, PolicyKind::WeightedRoundRobin);
+    }
+
+    #[test]
+    fn store_maintenance_refuses_a_missing_store_and_creates_nothing() {
+        let dir = std::env::temp_dir().join(format!("neurofi-no-store-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("typo").join("results.store");
+        let path_arg = path.to_string_lossy().into_owned();
+        for verb in ["stat", "compact"] {
+            let code = store_main(&args(&[verb, "--store", &path_arg]));
+            assert_ne!(code, ExitCode::SUCCESS, "`store {verb}` on a missing path");
+            assert!(!dir.exists(), "`store {verb}` created {}", dir.display());
+        }
     }
 
     #[test]

@@ -288,6 +288,19 @@ pub struct SweepCell {
     pub relative_change_percent: f64,
 }
 
+impl SweepCell {
+    /// Bit-level equality of all four fields: the rule every duplicate
+    /// check uses (merge slots, the coordinator's duplicate deliveries,
+    /// store records, golden diffs). Float `==` would accept `-0.0` for
+    /// `0.0` and reject a NaN repeated bit for bit.
+    pub fn same_bits(&self, other: &SweepCell) -> bool {
+        self.rel_change.to_bits() == other.rel_change.to_bits()
+            && self.fraction.to_bits() == other.fraction.to_bits()
+            && self.accuracy.to_bits() == other.accuracy.to_bits()
+            && self.relative_change_percent.to_bits() == other.relative_change_percent.to_bits()
+    }
+}
+
 /// A complete sweep result.
 #[derive(Debug, Clone)]
 pub struct SweepResult {
@@ -960,7 +973,7 @@ pub fn assemble_cells(
             ))
         })?;
         match slot {
-            Some(existing) if *existing != result.cell => {
+            Some(existing) if !existing.same_bits(&result.cell) => {
                 return Err(Error::Invalid(format!(
                     "conflicting duplicate results for cell {}",
                     result.index
@@ -1373,6 +1386,55 @@ mod tests {
             ],
         );
         assert!(conflicting.is_err());
+
+        // Duplicates compare bit for bit: `-0.0` is not `0.0`...
+        let signed_zero = assemble_cells(
+            AttackKind::InhibitoryThreshold,
+            Vec::new(),
+            0.55,
+            1,
+            vec![
+                CellResult {
+                    index: 0,
+                    cell: SweepCell {
+                        relative_change_percent: 0.0,
+                        ..cell
+                    },
+                },
+                CellResult {
+                    index: 0,
+                    cell: SweepCell {
+                        relative_change_percent: -0.0,
+                        ..cell
+                    },
+                },
+            ],
+        );
+        assert!(signed_zero.is_err());
+
+        // ...and a NaN repeated bit for bit is the same measurement.
+        let nan = SweepCell {
+            accuracy: f64::NAN,
+            ..cell
+        };
+        let repeated_nan = assemble_cells(
+            AttackKind::InhibitoryThreshold,
+            Vec::new(),
+            0.55,
+            1,
+            vec![
+                CellResult {
+                    index: 0,
+                    cell: nan,
+                },
+                CellResult {
+                    index: 0,
+                    cell: nan,
+                },
+            ],
+        )
+        .unwrap();
+        assert_eq!(repeated_nan.cells[0].accuracy.to_bits(), f64::NAN.to_bits());
     }
 
     #[test]

@@ -164,6 +164,31 @@ impl NamedCampaign {
         self.weight = weight;
         self
     }
+
+    /// The check every queued campaign's name passes, bind-time or
+    /// submitted, before it names a file: the journal `<base>.<name>`
+    /// and the CSV `distributed_sweep.<name>.csv`. A name must fit the
+    /// wire cap, be non-empty, and hold no `/`, `\` or control character,
+    /// so it can never reach outside those files' directory.
+    pub(crate) fn check_name(&self) -> Result<(), String> {
+        let name = &self.name;
+        if name.len() > crate::wire::MAX_NAME_LEN {
+            return Err(format!(
+                "campaign name of {} bytes exceeds the {}-byte wire cap",
+                name.len(),
+                crate::wire::MAX_NAME_LEN
+            ));
+        }
+        if name.is_empty() || name.contains(['/', '\\']) || name.contains(char::is_control) {
+            return Err(format!(
+                "campaign name `{}` refused: it becomes part of journal and CSV \
+                 file names, so it must be non-empty and contain no `/`, `\\` or \
+                 control character",
+                name.escape_debug()
+            ));
+        }
+        Ok(())
+    }
 }
 
 impl CampaignSpec {

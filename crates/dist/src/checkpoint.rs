@@ -14,15 +14,17 @@
 //!   merging incompatible grids.
 //! * Floats are stored as 16-digit hex IEEE-754 bit patterns, so a
 //!   resumed merge stays *bit*-identical to an uninterrupted run.
-//! * Appends are flushed per record, and a torn trailing line (from a
-//!   crash mid-write) is dropped on load rather than poisoning the
-//!   journal.
+//! * The file is a [`neurofi_store::log`], the crash-safe append-only
+//!   log the result store is built on: each record is flushed as it is
+//!   appended, and a torn trailing line (from a crash mid-write) is
+//!   dropped on load rather than poisoning the journal. That module
+//!   states what the syscalls guarantee: an acked cell survives
+//!   `kill -9` of the coordinator, not a power loss.
 
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use neurofi_core::sweep::{CellResult, SweepCell};
+use neurofi_store::log::{hex_bits, parse_bits, Log, OpenError};
 
 use crate::DistError;
 
@@ -40,19 +42,7 @@ pub struct Recovered {
 /// An append-only checkpoint journal bound to one campaign.
 #[derive(Debug)]
 pub struct Journal {
-    path: PathBuf,
-    writer: BufWriter<File>,
-}
-
-fn hex_bits(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
-}
-
-fn parse_bits(token: &str) -> Option<f64> {
-    if token.len() != 16 {
-        return None;
-    }
-    u64::from_str_radix(token, 16).ok().map(f64::from_bits)
+    log: Log,
 }
 
 fn journal_error(path: &Path, message: impl Into<String>) -> DistError {
@@ -72,104 +62,51 @@ impl Journal {
         digest: u64,
         n_cells: usize,
     ) -> Result<(Journal, Recovered), DistError> {
-        let recovered = if path.exists() {
-            Journal::replay(path, digest, n_cells)?
-        } else {
-            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                std::fs::create_dir_all(parent)?;
-            }
-            let mut file = File::create(path)?;
-            writeln!(file, "{MAGIC} digest={digest:016x} cells={n_cells}")?;
-            file.sync_all()?;
-            Recovered::default()
-        };
-        let writer = BufWriter::new(OpenOptions::new().append(true).open(path)?);
-        Ok((
-            Journal {
-                path: path.to_path_buf(),
-                writer,
-            },
-            recovered,
-        ))
-    }
-
-    fn replay(path: &Path, digest: u64, n_cells: usize) -> Result<Recovered, DistError> {
-        let text = std::fs::read_to_string(path)?;
-        let mut segments = text.split_inclusive('\n');
-        let header = segments
-            .next()
-            .ok_or_else(|| journal_error(path, "journal is empty"))?;
-        let expected = format!("{MAGIC} digest={digest:016x} cells={n_cells}\n");
-        if header != expected {
-            return Err(journal_error(
+        let header = format!("{MAGIC} digest={digest:016x} cells={n_cells}");
+        let mut recovered = Recovered::default();
+        let mut seen = vec![false; n_cells];
+        let log = Log::open(path, &header, |number, line| {
+            Some(match parse_record(line)? {
+                Record::Baseline(accuracy) => {
+                    recovered.baseline_accuracy.get_or_insert(accuracy);
+                    Ok(())
+                }
+                Record::Cell(result) => match seen.get_mut(result.index) {
+                    Some(slot) => {
+                        if !std::mem::replace(slot, true) {
+                            recovered.results.push(result);
+                        }
+                        Ok(())
+                    }
+                    None => Err(format!(
+                        "record {number} indexes cell {} of a {n_cells}-cell grid",
+                        result.index
+                    )),
+                },
+            })
+        })
+        .map_err(|e| match e {
+            OpenError::Io(e) => DistError::from(e),
+            OpenError::Empty => journal_error(path, "journal is empty"),
+            OpenError::Header(found) => journal_error(
                 path,
                 format!(
                     "journal belongs to a different campaign \
-                     (header `{}`, expected `{}`); \
-                     remove it or point --journal elsewhere",
-                    header.trim_end(),
-                    expected.trim_end()
+                     (header `{found}`, expected `{header}`); \
+                     remove it or point --journal elsewhere"
                 ),
-            ));
-        }
-        let mut recovered = Recovered::default();
-        let mut seen = vec![false; n_cells];
-        // Every durable record was flushed whole with its newline; a crash
-        // mid-append can only tear the final line. Track the length of the
-        // valid prefix and truncate anything after it, so post-recovery
-        // appends land on a clean boundary instead of merging with torn
-        // bytes.
-        let mut valid_len = header.len();
-        for (lineno, segment) in segments.enumerate() {
-            let complete = segment.ends_with('\n');
-            match parse_record(segment.trim_end_matches('\n')) {
-                Some(record) if complete => {
-                    match record {
-                        Record::Baseline(accuracy) => {
-                            recovered.baseline_accuracy.get_or_insert(accuracy);
-                        }
-                        Record::Cell(result) => {
-                            if result.index >= n_cells {
-                                return Err(journal_error(
-                                    path,
-                                    format!(
-                                        "record {} indexes cell {} of a {n_cells}-cell grid",
-                                        lineno + 2,
-                                        result.index
-                                    ),
-                                ));
-                            }
-                            if !seen[result.index] {
-                                seen[result.index] = true;
-                                recovered.results.push(result);
-                            }
-                        }
-                    }
-                    valid_len += segment.len();
-                }
-                // An unfinished or unparseable trailing line is a torn
-                // append: drop it.
-                _ if valid_len + segment.len() == text.len() => break,
-                _ => {
-                    return Err(journal_error(
-                        path,
-                        format!("corrupt record at line {}", lineno + 2),
-                    ));
-                }
+            ),
+            OpenError::Corrupt(line) => {
+                journal_error(path, format!("corrupt record at line {line}"))
             }
-        }
-        if valid_len < text.len() {
-            OpenOptions::new()
-                .write(true)
-                .open(path)?
-                .set_len(valid_len as u64)?;
-        }
-        Ok(recovered)
+            OpenError::Record(message) => journal_error(path, message),
+        })?;
+        Ok((Journal { log }, recovered))
     }
 
     /// The journal's on-disk location.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// Records the campaign's mean baseline accuracy (call once, before
@@ -178,27 +115,25 @@ impl Journal {
     /// # Errors
     /// Propagates i/o failures.
     pub fn record_baseline(&mut self, accuracy: f64) -> Result<(), DistError> {
-        writeln!(self.writer, "baseline {}", hex_bits(accuracy))?;
-        self.writer.flush()?;
-        Ok(())
+        Ok(self
+            .log
+            .append(format_args!("baseline {}", hex_bits(accuracy)))?)
     }
 
-    /// Appends one completed cell and flushes it to disk.
+    /// Appends one completed cell and flushes it to the OS.
     ///
     /// # Errors
     /// Propagates i/o failures.
     pub fn record_cell(&mut self, result: &CellResult) -> Result<(), DistError> {
-        writeln!(
-            self.writer,
+        let cell = &result.cell;
+        Ok(self.log.append(format_args!(
             "cell {} {} {} {} {}",
             result.index,
-            hex_bits(result.cell.rel_change),
-            hex_bits(result.cell.fraction),
-            hex_bits(result.cell.accuracy),
-            hex_bits(result.cell.relative_change_percent),
-        )?;
-        self.writer.flush()?;
-        Ok(())
+            hex_bits(cell.rel_change),
+            hex_bits(cell.fraction),
+            hex_bits(cell.accuracy),
+            hex_bits(cell.relative_change_percent),
+        ))?)
     }
 }
 
@@ -240,6 +175,9 @@ fn parse_record(line: &str) -> Option<Record> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
+    use std::path::PathBuf;
 
     fn temp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(

@@ -276,7 +276,7 @@ impl CampaignState {
         campaign.spec.validate()?;
         let plan = campaign.spec.plan();
         let total = plan.jobs.len();
-        let (mut journal, recovered) = match journal_base {
+        let (journal, recovered) = match journal_base {
             Some(base) => {
                 let path = campaign_journal_path(base, &campaign.name);
                 let (journal, recovered) = Journal::open(&path, campaign.spec.digest(), total)?;
@@ -284,15 +284,6 @@ impl CampaignState {
             }
             None => (None, Default::default()),
         };
-        let mut completed: Vec<Option<CellResult>> = vec![None; total];
-        let mut n_done = 0usize;
-        for result in &recovered.results {
-            if completed[result.index].is_none() {
-                completed[result.index] = Some(*result);
-                n_done += 1;
-            }
-        }
-        let resumed = n_done;
         let digests: Vec<u64> = plan
             .jobs
             .iter()
@@ -310,31 +301,52 @@ impl CampaignState {
                 Some(DetectionOutcome::Quiet) | None => {}
             }
         }
-        let mut baseline_accuracy = recovered.baseline_accuracy;
-        let mut store_hits = 0usize;
-        if let Some(store) = store {
-            let mut store = lock_store(store);
+        // The journal replay range-checked and deduplicated its cells.
+        let mut completed: Vec<Option<CellResult>> = vec![None; total];
+        for result in &recovered.results {
+            completed[result.index] = Some(*result);
+        }
+        let resumed = recovered.results.len();
+        let mut state = CampaignState {
+            campaign,
+            plan,
+            pending: VecDeque::new(),
+            failures: vec![0; total],
+            orphaned: vec![0; total],
+            failure_log: Vec::new(),
+            completed,
+            n_done: resumed,
+            resumed,
+            store_hits: 0,
+            digests,
+            detected,
+            missed,
+            baseline_accuracy: recovered.baseline_accuracy,
+            journal,
+            failed: None,
+        };
+        if let Some(mut store) = lock_store(store) {
+            let baseline_digest = state.campaign.spec.baseline_digest();
             // Journal-recovered cells drain into the store first, so
             // progress made under this campaign's name is visible to
             // every overlapping campaign. A conflict here means two
             // runs measured different bits for the same content —
             // surface it, never cache over it.
-            if let Some(accuracy) = baseline_accuracy {
-                store.put_baseline(campaign.spec.baseline_digest(), accuracy)?;
+            if let Some(accuracy) = state.baseline_accuracy {
+                store.put_baseline(baseline_digest, accuracy)?;
             }
-            for (index, result) in completed.iter().flatten().map(|r| (r.index, r)) {
-                store.put_cell(digests[index], result.cell)?;
+            for result in state.completed.iter().flatten() {
+                store.put_cell(state.digests[result.index], result.cell)?;
             }
             // The baseline must be pinned before any hit is filled in:
             // store-held cells were measured against the store-held
             // baseline, so mixing them with a *different* baseline
             // would blend two relative-change scales in one grid.
-            if baseline_accuracy.is_none() {
-                if let Some(accuracy) = store.get_baseline(campaign.spec.baseline_digest()) {
-                    if let Some(journal) = journal.as_mut() {
-                        journal.record_baseline(accuracy)?;
-                    }
-                    baseline_accuracy = Some(accuracy);
+            if state.baseline_accuracy.is_none() {
+                if let Some(accuracy) = store.get_baseline(baseline_digest) {
+                    state
+                        .record_baseline(accuracy, None)
+                        .map_err(DistError::Journal)?;
                 }
             }
             // Then every cell the store already holds is a hit: filled
@@ -342,38 +354,21 @@ impl CampaignState {
             // restart resumes it even against a compacted store), and
             // never assigned to a worker.
             for index in 0..total {
-                if completed[index].is_some() {
+                if state.completed[index].is_some() {
                     continue;
                 }
-                if let Some(cell) = store.get_cell(digests[index]) {
-                    let result = CellResult { index, cell };
-                    if let Some(journal) = journal.as_mut() {
-                        journal.record_cell(&result)?;
-                    }
-                    completed[index] = Some(result);
-                    n_done += 1;
-                    store_hits += 1;
+                if let Some(cell) = store.get_cell(state.digests[index]) {
+                    state
+                        .record_cell(&CellResult { index, cell }, None)
+                        .map_err(DistError::Journal)?;
+                    state.store_hits += 1;
                 }
             }
         }
-        Ok(CampaignState {
-            campaign,
-            plan,
-            pending: (0..total).filter(|&i| completed[i].is_none()).collect(),
-            failures: vec![0; total],
-            orphaned: vec![0; total],
-            failure_log: Vec::new(),
-            completed,
-            n_done,
-            resumed,
-            store_hits,
-            digests,
-            detected,
-            missed,
-            baseline_accuracy,
-            journal,
-            failed: None,
-        })
+        state.pending = (0..total)
+            .filter(|&i| state.completed[i].is_none())
+            .collect();
+        Ok(state)
     }
 
     fn total(&self) -> usize {
@@ -396,6 +391,79 @@ impl CampaignState {
 
     fn schedulable(&self) -> bool {
         self.failed.is_none() && !self.pending.is_empty()
+    }
+
+    /// Pins the baseline a worker reported: the first report is
+    /// journaled, then stored; every later one must carry the same
+    /// bits (the cross-worker determinism check).
+    fn record_baseline(&mut self, accuracy: f64, store: Option<&mut Store>) -> Result<(), String> {
+        match self.baseline_accuracy {
+            Some(existing) if existing.to_bits() != accuracy.to_bits() => Err(format!(
+                "worker baseline accuracy {accuracy:?} diverges from \
+                 campaign baseline {existing:?}: non-deterministic runner"
+            )),
+            Some(_) => Ok(()),
+            None => {
+                if let Some(journal) = self.journal.as_mut() {
+                    journal
+                        .record_baseline(accuracy)
+                        .map_err(|e| format!("journal write failed: {e}"))?;
+                }
+                self.baseline_accuracy = Some(accuracy);
+                if let Some(store) = store {
+                    store
+                        .put_baseline(self.campaign.spec.baseline_digest(), accuracy)
+                        .map_err(|e| format!("result store write failed: {e}"))?;
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Records one measured cell: journaled first (the journal is the
+    /// ack-before-send contract), then stored (the store is the dedup
+    /// index). A store failure is as fatal as a journal failure: acking
+    /// a cell the store silently dropped would let a later campaign
+    /// recompute it, and a conflict means a non-deterministic runner.
+    fn record_cell(
+        &mut self,
+        result: &CellResult,
+        store: Option<&mut Store>,
+    ) -> Result<(), String> {
+        let index = result.index;
+        let (Some(slot), Some(&digest)) = (self.completed.get_mut(index), self.digests.get(index))
+        else {
+            return Err(format!("worker reported cell {index} outside the grid"));
+        };
+        match slot {
+            // A duplicate delivery (the cell was requeued after a
+            // timeout and finished twice) must carry identical bits —
+            // this is the per-cell determinism cross-check.
+            // assemble_sweep never sees conflicting duplicates because
+            // only the first value is kept, so the comparison has to
+            // happen here.
+            Some(existing) if !existing.cell.same_bits(&result.cell) => Err(format!(
+                "cell {index} measured twice with different bits \
+                 ({:?} vs {:?}): non-deterministic runner",
+                existing.cell, result.cell
+            )),
+            Some(_) => Ok(()),
+            None => {
+                if let Some(journal) = self.journal.as_mut() {
+                    journal
+                        .record_cell(result)
+                        .map_err(|e| format!("journal write failed: {e}"))?;
+                }
+                *slot = Some(*result);
+                self.n_done += 1;
+                if let Some(store) = store {
+                    store
+                        .put_cell(digest, result.cell)
+                        .map_err(|e| format!("result store write failed: {e}"))?;
+                }
+                Ok(())
+            }
+        }
     }
 }
 
@@ -479,13 +547,16 @@ struct Shared {
     store: Option<Mutex<Store>>,
 }
 
-/// Locks the result store, shedding poison: the store's own conflict
-/// checks make a torn in-memory update loud on the next insert, and an
-/// abandoned lock must not wedge every later campaign.
-fn lock_store(store: &Mutex<Store>) -> MutexGuard<'_, Store> {
-    store
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+/// Locks the result store, if there is one, shedding poison: the
+/// store's own conflict checks make a torn in-memory update loud on the
+/// next insert, and an abandoned lock must not wedge every later
+/// campaign.
+fn lock_store(store: Option<&Mutex<Store>>) -> Option<MutexGuard<'_, Store>> {
+    store.map(|store| {
+        store
+            .lock()
+            .unwrap_or_else(|poisoned| poisoned.into_inner())
+    })
 }
 
 impl Shared {
@@ -572,13 +643,7 @@ fn validate_queue(campaigns: &[NamedCampaign], allow_empty: bool) -> Result<(), 
     }
     for (i, campaign) in campaigns.iter().enumerate() {
         campaign.spec.validate()?;
-        if campaign.name.len() > crate::wire::MAX_NAME_LEN {
-            return Err(DistError::Protocol(format!(
-                "campaign name of {} bytes exceeds the {}-byte wire cap",
-                campaign.name.len(),
-                crate::wire::MAX_NAME_LEN
-            )));
-        }
+        campaign.check_name().map_err(DistError::Protocol)?;
         if campaigns[..i].iter().any(|c| c.name == campaign.name) {
             return Err(DistError::Protocol(format!(
                 "campaign name `{}` is queued twice; names must be unique \
@@ -891,7 +956,8 @@ fn claim_batch(shared: &Shared, threads: u32, requested: u32) -> Option<(usize, 
 }
 
 /// Records one acknowledgement window of measured cells for `campaign`;
-/// journals each cell before the caller acknowledges the window.
+/// journals each cell before the caller acknowledges the window. Any
+/// refusal fails the run.
 fn record_results(
     shared: &Shared,
     in_flight: &mut Vec<(usize, usize)>,
@@ -900,142 +966,31 @@ fn record_results(
     results: &[CellResult],
 ) -> Result<(), String> {
     let mut state = shared.lock_state();
-    if campaign >= state.campaigns.len() {
-        let reason = format!("worker reported results for unknown campaign {campaign}");
+    let mut store = lock_store(shared.store.as_ref());
+    let recorded = match state.campaigns.get_mut(campaign) {
+        None => Err(format!(
+            "worker reported results for unknown campaign {campaign}"
+        )),
+        Some(campaign_state) if campaign_state.failed.is_some() => {
+            // The campaign was poisoned while this window was in flight:
+            // drop the results (acked but unrecorded) and let the worker
+            // keep serving the surviving campaigns.
+            in_flight.retain(|&(c, _)| c != campaign);
+            return Ok(());
+        }
+        Some(campaign_state) => campaign_state
+            .record_baseline(baseline_accuracy, store.as_deref_mut())
+            .and_then(|()| {
+                results.iter().try_for_each(|result| {
+                    in_flight.retain(|&(c, i)| !(c == campaign && i == result.index));
+                    campaign_state.record_cell(result, store.as_deref_mut())
+                })
+            }),
+    };
+    if let Err(reason) = recorded {
         state.fail(reason.clone());
         shared.changed.notify_all();
         return Err(reason);
-    }
-    let Some(campaign_state) = state.campaigns.get_mut(campaign) else {
-        return Err("internal: campaign index out of range after bounds check".into());
-    };
-    if campaign_state.failed.is_some() {
-        // The campaign was poisoned while this window was in flight:
-        // drop the results (acked but unrecorded) and let the worker
-        // keep serving the surviving campaigns.
-        in_flight.retain(|&(c, _)| c != campaign);
-        return Ok(());
-    }
-    let mut baseline_newly_recorded = false;
-    match campaign_state.baseline_accuracy {
-        None => {
-            if let Some(journal) = campaign_state.journal.as_mut() {
-                if let Err(e) = journal.record_baseline(baseline_accuracy) {
-                    let reason = format!("journal write failed: {e}");
-                    state.fail(reason.clone());
-                    shared.changed.notify_all();
-                    return Err(reason);
-                }
-            }
-            campaign_state.baseline_accuracy = Some(baseline_accuracy);
-            baseline_newly_recorded = true;
-        }
-        Some(existing) => {
-            // Cross-worker determinism check: every node must derive the
-            // same baseline bits from the same spec.
-            if existing.to_bits() != baseline_accuracy.to_bits() {
-                let reason = format!(
-                    "worker baseline accuracy {baseline_accuracy:?} diverges from \
-                     campaign baseline {existing:?}: non-deterministic runner"
-                );
-                state.fail(reason.clone());
-                shared.changed.notify_all();
-                return Err(reason);
-            }
-        }
-    }
-    // Newly recorded results drain into the cross-campaign store (after
-    // the journal — the journal is the ack-before-send contract, the
-    // store is the dedup index). A store failure is as fatal as a
-    // journal failure: acking a window whose cells the store silently
-    // dropped would let a later campaign recompute them, and a conflict
-    // means a non-deterministic runner.
-    if baseline_newly_recorded {
-        if let Some(store) = shared.store.as_ref() {
-            let digest = state
-                .campaigns
-                .get(campaign)
-                .map(|c| c.campaign.spec.baseline_digest());
-            let Some(digest) = digest else {
-                return Err("internal: campaign index out of range after bounds check".into());
-            };
-            if let Err(e) = lock_store(store).put_baseline(digest, baseline_accuracy) {
-                let reason = format!("result store write failed: {e}");
-                state.fail(reason.clone());
-                shared.changed.notify_all();
-                return Err(reason);
-            }
-        }
-    }
-    for result in results {
-        let Some(campaign_state) = state.campaigns.get_mut(campaign) else {
-            return Err("internal: campaign index out of range after bounds check".into());
-        };
-        if result.index >= campaign_state.total() {
-            let reason = format!("worker reported cell {} outside the grid", result.index);
-            state.fail(reason.clone());
-            shared.changed.notify_all();
-            return Err(reason);
-        }
-        in_flight.retain(|&(c, i)| !(c == campaign && i == result.index));
-        let mut cell_newly_recorded = false;
-        match campaign_state
-            .completed
-            .get(result.index)
-            .copied()
-            .flatten()
-        {
-            // A duplicate delivery (the cell was requeued after a timeout
-            // and finished twice) must carry identical bits — this is the
-            // per-cell determinism cross-check. assemble_sweep never sees
-            // conflicting duplicates because only the first value is
-            // kept, so the comparison has to happen here.
-            Some(existing) => {
-                if !same_cell_bits(&existing, result) {
-                    let reason = format!(
-                        "cell {} measured twice with different bits \
-                         ({:?} vs {:?}): non-deterministic runner",
-                        result.index, existing.cell, result.cell
-                    );
-                    state.fail(reason.clone());
-                    shared.changed.notify_all();
-                    return Err(reason);
-                }
-            }
-            None => {
-                if let Some(journal) = campaign_state.journal.as_mut() {
-                    if let Err(e) = journal.record_cell(result) {
-                        let reason = format!("journal write failed: {e}");
-                        state.fail(reason.clone());
-                        shared.changed.notify_all();
-                        return Err(reason);
-                    }
-                }
-                if let Some(slot) = campaign_state.completed.get_mut(result.index) {
-                    *slot = Some(*result);
-                }
-                campaign_state.n_done += 1;
-                cell_newly_recorded = true;
-            }
-        }
-        if cell_newly_recorded {
-            if let Some(store) = shared.store.as_ref() {
-                let digest = state
-                    .campaigns
-                    .get(campaign)
-                    .and_then(|c| c.digests.get(result.index))
-                    .copied();
-                let Some(digest) = digest else {
-                    return Err("internal: cell index out of range after bounds check".into());
-                };
-                if let Err(e) = lock_store(store).put_cell(digest, result.cell) {
-                    let reason = format!("result store write failed: {e}");
-                    state.fail(reason.clone());
-                    shared.changed.notify_all();
-                    return Err(reason);
-                }
-            }
-        }
     }
     state.settle_if_done();
     shared.changed.notify_all();
@@ -1110,15 +1065,6 @@ fn cell_failed(
     state.settle_if_done();
     shared.changed.notify_all();
     Ok(())
-}
-
-/// Bit-level equality of two deliveries of the same cell (`==` on the
-/// floats would treat `0.0 == -0.0` and miss NaN divergence).
-fn same_cell_bits(a: &CellResult, b: &CellResult) -> bool {
-    a.cell.rel_change.to_bits() == b.cell.rel_change.to_bits()
-        && a.cell.fraction.to_bits() == b.cell.fraction.to_bits()
-        && a.cell.accuracy.to_bits() == b.cell.accuracy.to_bits()
-        && a.cell.relative_change_percent.to_bits() == b.cell.relative_change_percent.to_bits()
 }
 
 /// Returns a dead worker's unacknowledged cells to their campaigns'
@@ -1200,9 +1146,10 @@ fn enqueue_submission(shared: &Shared, campaign: NamedCampaign) -> Result<u32, S
         }
         Ok(None)
     }
-    let digest = campaign.spec.digest();
-    // Cheap pre-check so obviously inadmissible submissions never touch
+    // Cheap pre-checks so obviously inadmissible submissions never touch
     // the filesystem.
+    campaign.check_name()?;
+    let digest = campaign.spec.digest();
     if let Some(id) = admissible(&shared.lock_state(), &campaign.name, digest)? {
         return Ok(id);
     }

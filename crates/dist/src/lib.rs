@@ -51,6 +51,9 @@
 //!   once no matter how many campaigns are queued or submitted.
 //! * [`checkpoint`] — the append-only journals (one per campaign)
 //!   interrupted runs resume from without recomputing finished cells.
+//!   A journal is a [`neurofi_store::log`], the crash-safe log the
+//!   result store also uses; its docs say what an append survives
+//!   (`kill -9`, not a power loss).
 //!
 //! ## Quickstart (in-process cluster over localhost TCP)
 //!

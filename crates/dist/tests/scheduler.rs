@@ -867,3 +867,65 @@ fn a_worker_that_joined_an_empty_service_executes_later_submissions() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn campaign_names_that_would_escape_the_journal_directory_are_refused() {
+    // A campaign name is part of its journal's file name
+    // (`<base>.<name>`): `x/../../escaped` would put the journal two
+    // levels up, outside the journal's directory. Both a live
+    // submission and a bind-time campaign must be refused before any
+    // file is created.
+    let dir = temp_dir("name-escape");
+    let journal_dir = dir.join("journals");
+    std::fs::create_dir_all(&journal_dir).unwrap();
+    let journal = journal_dir.join("svc.journal");
+    let tiny = named_campaign("tiny").unwrap();
+
+    let mut config = CoordinatorConfig::with_campaigns("loopback", Vec::new());
+    config.persistent = true;
+    config.journal = Some(journal.clone());
+    let hub = LoopbackHub::new();
+    let listener = StopOnCancel(hub.listener());
+    let stop = listener.canceller();
+    let serve = std::thread::spawn(move || serve_transport(listener, config));
+    for name in ["x/../../escaped", "x\\..\\..\\escaped", "", "line\nbreak"] {
+        // A refusal ends the control session, so each name gets its own.
+        match submit_on(&mut hub.connect(), NamedCampaign::new(name, tiny.clone())) {
+            Err(DistError::Aborted(reason)) => assert!(
+                reason.contains("must be non-empty and contain no `/`, `\\` or control"),
+                "the abort names the rule: {reason}"
+            ),
+            other => panic!("campaign name {name:?} must be refused, got {other:?}"),
+        }
+    }
+    stop();
+    assert!(
+        serve.join().unwrap().is_err(),
+        "a stopped service reports the stop"
+    );
+
+    let mut config = CoordinatorConfig::with_campaigns(
+        "loopback",
+        vec![NamedCampaign::new("x/../../escaped", tiny)],
+    );
+    config.journal = Some(journal);
+    config.idle_timeout = Duration::from_millis(100);
+    match serve_transport(LoopbackHub::new().listener(), config) {
+        Err(DistError::Protocol(reason)) => {
+            assert!(reason.contains("must be non-empty"), "got: {reason}")
+        }
+        other => panic!("a bind-time campaign name must be refused too, got {other:?}"),
+    }
+
+    // Nothing was created: not the escaped journal, not the directory
+    // its path walks through.
+    let entries = |path: &std::path::Path| -> Vec<String> {
+        std::fs::read_dir(path)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect()
+    };
+    assert_eq!(entries(&dir), ["journals"]);
+    assert!(entries(&journal_dir).is_empty());
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -98,12 +98,6 @@ pub const ALLOWLIST: &[Allow] = &[
         token: "Instant",
         reason: "CLI progress/elapsed display; human-facing only",
     },
-    Allow {
-        rule: "capped-reads",
-        file_suffix: "crates/dist/src/checkpoint.rs",
-        token: "read_to_string",
-        reason: "replays the local on-disk journal, not peer-controlled wire input",
-    },
 ];
 
 /// Result of linting a tree: hard violations, waived hazards (with

@@ -12,14 +12,13 @@
 //! cell here once it is journaled. (Digest derivation itself lives in
 //! `neurofi-dist`, next to the canonical wire encoding it hashes.)
 //!
-//! The on-disk format reuses the checkpoint journal's discipline
-//! (see `neurofi-dist`'s `checkpoint` module):
+//! The store file is a [`log`]: the crash-safe append-only text log it
+//! shares with `neurofi-dist`'s checkpoint journal. That module states
+//! the crash policy and what the syscalls guarantee (an append survives
+//! `kill -9`, not a power loss). On top of it the store keeps:
 //!
-//! * plain-text records, one per line, floats as 16-digit hex IEEE-754
-//!   bit patterns — a store hit is *bit*-identical to recomputing;
-//! * appends flushed per record, so a crash can tear at most the final
-//!   line; replay recovers the longest valid prefix and truncates the
-//!   torn tail (mid-file corruption, by contrast, fails loudly);
+//! * one record per measured cell or baseline, floats as hex bit
+//!   patterns, so a store hit is *bit*-identical to recomputing;
 //! * a duplicate append under the same digest must carry identical
 //!   bits — differing bits mean a digest collision or a
 //!   non-deterministic runner, and both must surface, not cache.
@@ -31,12 +30,15 @@
 #![deny(missing_docs)]
 #![deny(missing_debug_implementations)]
 
+pub mod log;
+
 use std::collections::BTreeMap;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
-use std::path::{Path, PathBuf};
+use std::fmt;
+use std::path::Path;
 
 use neurofi_core::SweepCell;
+
+use crate::log::{hex_bits, parse_bits, parse_key, Log, OpenError};
 
 const MAGIC: &str = "neurofi-store v1";
 
@@ -129,111 +131,141 @@ pub struct StoreStats {
     pub newest_stamp: Option<u64>,
 }
 
+/// A value held in the index with its append stamp.
 #[derive(Debug, Clone, Copy)]
-struct StoredCell {
-    cell: SweepCell,
+struct Stamped<T> {
+    value: T,
     stamp: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct StoredBaseline {
-    accuracy: f64,
-    stamp: u64,
+impl<T> Stamped<T> {
+    fn now(value: T) -> Stamped<T> {
+        Stamped {
+            value,
+            stamp: now_secs(),
+        }
+    }
 }
 
-/// The content-addressed result store: an append-only file plus its
+/// The content-addressed result store: an append-only [`Log`] plus its
 /// in-memory index. One store serves every campaign a coordinator will
 /// ever run — records carry no campaign identity, only content digests.
 #[derive(Debug)]
 pub struct Store {
-    path: PathBuf,
-    writer: BufWriter<File>,
-    cells: BTreeMap<u64, StoredCell>,
-    baselines: BTreeMap<u64, StoredBaseline>,
+    log: Log,
+    index: Index,
 }
 
-fn hex_bits(v: f64) -> String {
-    format!("{:016x}", v.to_bits())
+/// The first record held under each digest, per kind.
+#[derive(Debug, Default)]
+struct Index {
+    cells: BTreeMap<u64, Stamped<SweepCell>>,
+    baselines: BTreeMap<u64, Stamped<f64>>,
 }
 
-fn parse_bits(token: &str) -> Option<f64> {
-    if token.len() != 16 {
-        return None;
+impl Index {
+    /// Whether `record` is new: `Ok(false)` when its digest already
+    /// holds the same bits, a [`StoreError::Conflict`] when it holds
+    /// different ones.
+    fn is_new(&self, record: &Record) -> Result<bool, StoreError> {
+        match *record {
+            Record::Cell(digest, s) => {
+                is_new(&self.cells, digest, s.value, SweepCell::same_bits, "cell")
+            }
+            Record::Baseline(digest, s) => is_new(
+                &self.baselines,
+                digest,
+                s.value,
+                |a, b| a.to_bits() == b.to_bits(),
+                "baseline",
+            ),
+        }
     }
-    u64::from_str_radix(token, 16).ok().map(f64::from_bits)
-}
 
-fn parse_digest(token: &str) -> Option<u64> {
-    if token.len() != 16 {
-        return None;
+    fn insert(&mut self, record: Record) {
+        match record {
+            Record::Cell(digest, s) => {
+                self.cells.insert(digest, s);
+            }
+            Record::Baseline(digest, s) => {
+                self.baselines.insert(digest, s);
+            }
+        }
     }
-    u64::from_str_radix(token, 16).ok()
 }
 
-fn corrupt(path: &Path, message: impl Into<String>) -> StoreError {
-    StoreError::Corrupt(format!("{}: {}", path.display(), message.into()))
-}
-
-/// Bit-level equality (`==` on floats would treat `0.0 == -0.0` and
-/// miss NaN divergence — the same rule the coordinator's duplicate
-/// delivery check uses).
-fn same_bits(a: &SweepCell, b: &SweepCell) -> bool {
-    a.rel_change.to_bits() == b.rel_change.to_bits()
-        && a.fraction.to_bits() == b.fraction.to_bits()
-        && a.accuracy.to_bits() == b.accuracy.to_bits()
-        && a.relative_change_percent.to_bits() == b.relative_change_percent.to_bits()
-}
-
-fn cell_detail(existing: &SweepCell, new: &SweepCell) -> String {
-    format!("cell recorded twice with different bits ({existing:?} vs {new:?})")
-}
-
+/// One line of the store file: a cell or a baseline under its content
+/// digest.
+#[derive(Clone, Copy)]
 enum Record {
-    Cell {
-        digest: u64,
-        stamp: u64,
-        cell: SweepCell,
-    },
-    Baseline {
-        digest: u64,
-        stamp: u64,
-        accuracy: f64,
-    },
+    Cell(u64, Stamped<SweepCell>),
+    Baseline(u64, Stamped<f64>),
+}
+
+impl fmt::Display for Record {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            Record::Cell(digest, Stamped { value: cell, stamp }) => write!(
+                f,
+                "cell {digest:016x} {stamp} {} {} {} {}",
+                hex_bits(cell.rel_change),
+                hex_bits(cell.fraction),
+                hex_bits(cell.accuracy),
+                hex_bits(cell.relative_change_percent),
+            ),
+            Record::Baseline(digest, Stamped { value, stamp }) => {
+                write!(f, "base {digest:016x} {stamp} {}", hex_bits(value))
+            }
+        }
+    }
 }
 
 fn parse_record(line: &str) -> Option<Record> {
     let mut tokens = line.split_ascii_whitespace();
-    match tokens.next()? {
+    let kind = tokens.next()?;
+    let digest = parse_key(tokens.next()?)?;
+    let stamp: u64 = tokens.next()?.parse().ok()?;
+    let record = match kind {
         "cell" => {
-            let digest = parse_digest(tokens.next()?)?;
-            let stamp: u64 = tokens.next()?.parse().ok()?;
-            let rel_change = parse_bits(tokens.next()?)?;
-            let fraction = parse_bits(tokens.next()?)?;
-            let accuracy = parse_bits(tokens.next()?)?;
-            let relative_change_percent = parse_bits(tokens.next()?)?;
-            tokens.next().is_none().then_some(Record::Cell {
-                digest,
-                stamp,
-                cell: SweepCell {
-                    rel_change,
-                    fraction,
-                    accuracy,
-                    relative_change_percent,
-                },
-            })
+            let value = SweepCell {
+                rel_change: parse_bits(tokens.next()?)?,
+                fraction: parse_bits(tokens.next()?)?,
+                accuracy: parse_bits(tokens.next()?)?,
+                relative_change_percent: parse_bits(tokens.next()?)?,
+            };
+            Record::Cell(digest, Stamped { value, stamp })
         }
         "base" => {
-            let digest = parse_digest(tokens.next()?)?;
-            let stamp: u64 = tokens.next()?.parse().ok()?;
-            let accuracy = parse_bits(tokens.next()?)?;
-            tokens.next().is_none().then_some(Record::Baseline {
-                digest,
-                stamp,
-                accuracy,
-            })
+            let value = parse_bits(tokens.next()?)?;
+            Record::Baseline(digest, Stamped { value, stamp })
         }
-        _ => None,
+        _ => return None,
+    };
+    tokens.next().is_none().then_some(record)
+}
+
+/// [`Index::is_new`] for one kind of record.
+fn is_new<T: Copy + fmt::Debug>(
+    index: &BTreeMap<u64, Stamped<T>>,
+    digest: u64,
+    value: T,
+    same_bits: impl Fn(&T, &T) -> bool,
+    kind: &str,
+) -> Result<bool, StoreError> {
+    match index.get(&digest) {
+        Some(held) if !same_bits(&held.value, &value) => Err(StoreError::Conflict {
+            digest,
+            detail: format!(
+                "{kind} recorded twice with different bits ({:?} vs {value:?})",
+                held.value
+            ),
+        }),
+        held => Ok(held.is_none()),
     }
+}
+
+fn corrupt(path: &Path, message: impl Into<String>) -> StoreError {
+    StoreError::Corrupt(format!("{}: {}", path.display(), message.into()))
 }
 
 fn now_secs() -> u64 {
@@ -245,167 +277,59 @@ fn now_secs() -> u64 {
 
 impl Store {
     /// Opens (or creates) the store at `path`, replaying existing
-    /// records with the checkpoint journal's longest-valid-prefix
-    /// discipline: a torn trailing line is truncated, so post-recovery
-    /// appends land on a clean boundary.
+    /// records under the [`log`] crash policy: a torn trailing line is
+    /// truncated, so post-recovery appends land on a clean boundary.
     ///
     /// # Errors
     /// Fails on i/o errors, a foreign header, mid-file corruption, or
     /// conflicting records under one digest.
     pub fn open(path: &Path) -> Result<Store, StoreError> {
-        let (cells, baselines) = if path.exists() {
-            Store::replay(path)?
-        } else {
-            if let Some(parent) = path.parent().filter(|p| !p.as_os_str().is_empty()) {
-                std::fs::create_dir_all(parent)?;
-            }
-            let mut file = File::create(path)?;
-            writeln!(file, "{MAGIC}")?;
-            file.sync_all()?;
-            (BTreeMap::new(), BTreeMap::new())
-        };
-        let writer = BufWriter::new(OpenOptions::new().append(true).open(path)?);
-        Ok(Store {
-            path: path.to_path_buf(),
-            writer,
-            cells,
-            baselines,
+        let mut index = Index::default();
+        let log = Log::open(path, MAGIC, |_, line| {
+            let record = parse_record(line)?;
+            Some(index.is_new(&record).map(|new| {
+                if new {
+                    index.insert(record);
+                }
+            }))
         })
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn replay(
-        path: &Path,
-    ) -> Result<(BTreeMap<u64, StoredCell>, BTreeMap<u64, StoredBaseline>), StoreError> {
-        let text = std::fs::read_to_string(path)?;
-        let mut segments = text.split_inclusive('\n');
-        let header = segments
-            .next()
-            .ok_or_else(|| corrupt(path, "store file is empty"))?;
-        let expected = format!("{MAGIC}\n");
-        if header != expected {
-            return Err(corrupt(
+        .map_err(|e| match e {
+            OpenError::Io(e) => StoreError::Io(e),
+            OpenError::Empty => corrupt(path, "store file is empty"),
+            OpenError::Header(found) => corrupt(
                 path,
-                format!(
-                    "not a result store (header `{}`, expected `{MAGIC}`)",
-                    header.trim_end()
-                ),
-            ));
-        }
-        let mut cells: BTreeMap<u64, StoredCell> = BTreeMap::new();
-        let mut baselines: BTreeMap<u64, StoredBaseline> = BTreeMap::new();
-        // Every durable record was flushed whole with its newline; a
-        // crash mid-append can only tear the final line. Track the valid
-        // prefix and truncate anything after it.
-        let mut valid_len = header.len();
-        for (lineno, segment) in segments.enumerate() {
-            let complete = segment.ends_with('\n');
-            match parse_record(segment.trim_end_matches('\n')) {
-                Some(record) if complete => {
-                    match record {
-                        Record::Cell {
-                            digest,
-                            stamp,
-                            cell,
-                        } => match cells.get(&digest) {
-                            Some(existing) if !same_bits(&existing.cell, &cell) => {
-                                return Err(StoreError::Conflict {
-                                    digest,
-                                    detail: cell_detail(&existing.cell, &cell),
-                                });
-                            }
-                            Some(_) => {}
-                            None => {
-                                cells.insert(digest, StoredCell { cell, stamp });
-                            }
-                        },
-                        Record::Baseline {
-                            digest,
-                            stamp,
-                            accuracy,
-                        } => match baselines.get(&digest) {
-                            Some(existing) if existing.accuracy.to_bits() != accuracy.to_bits() => {
-                                return Err(StoreError::Conflict {
-                                    digest,
-                                    detail: format!(
-                                        "baseline recorded twice with different bits \
-                                         ({:?} vs {accuracy:?})",
-                                        existing.accuracy
-                                    ),
-                                });
-                            }
-                            Some(_) => {}
-                            None => {
-                                baselines.insert(digest, StoredBaseline { accuracy, stamp });
-                            }
-                        },
-                    }
-                    valid_len += segment.len();
-                }
-                // An unfinished or unparseable trailing line is a torn
-                // append: drop it.
-                _ if valid_len + segment.len() == text.len() => break,
-                _ => {
-                    return Err(corrupt(
-                        path,
-                        format!("corrupt record at line {}", lineno + 2),
-                    ));
-                }
-            }
-        }
-        if valid_len < text.len() {
-            OpenOptions::new()
-                .write(true)
-                .open(path)?
-                .set_len(valid_len as u64)?;
-        }
-        Ok((cells, baselines))
+                format!("not a result store (header `{found}`, expected `{MAGIC}`)"),
+            ),
+            OpenError::Corrupt(line) => corrupt(path, format!("corrupt record at line {line}")),
+            OpenError::Record(e) => e,
+        })?;
+        Ok(Store { log, index })
     }
 
     /// The store's on-disk location.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.log.path()
     }
 
     /// The cell stored under `digest`, if any.
     pub fn get_cell(&self, digest: u64) -> Option<SweepCell> {
-        self.cells.get(&digest).map(|s| s.cell)
+        self.index.cells.get(&digest).map(|s| s.value)
     }
 
     /// The baseline accuracy stored under `digest`, if any.
     pub fn get_baseline(&self, digest: u64) -> Option<f64> {
-        self.baselines.get(&digest).map(|s| s.accuracy)
+        self.index.baselines.get(&digest).map(|s| s.value)
     }
 
-    /// Records one measured cell under its content digest and flushes
-    /// it to disk. Returns `false` (and appends nothing) when an
+    /// Records one measured cell under its content digest and appends
+    /// it to the log. Returns `false` (and appends nothing) when an
     /// identical record already exists.
     ///
     /// # Errors
     /// A bit-different value under an existing digest is a
     /// [`StoreError::Conflict`]; i/o failures propagate.
     pub fn put_cell(&mut self, digest: u64, cell: SweepCell) -> Result<bool, StoreError> {
-        if let Some(existing) = self.cells.get(&digest) {
-            if !same_bits(&existing.cell, &cell) {
-                return Err(StoreError::Conflict {
-                    digest,
-                    detail: cell_detail(&existing.cell, &cell),
-                });
-            }
-            return Ok(false);
-        }
-        let stamp = now_secs();
-        writeln!(
-            self.writer,
-            "cell {digest:016x} {stamp} {} {} {} {}",
-            hex_bits(cell.rel_change),
-            hex_bits(cell.fraction),
-            hex_bits(cell.accuracy),
-            hex_bits(cell.relative_change_percent),
-        )?;
-        self.writer.flush()?;
-        self.cells.insert(digest, StoredCell { cell, stamp });
-        Ok(true)
+        self.put(Record::Cell(digest, Stamped::now(cell)))
     }
 
     /// Records one campaign baseline accuracy under its content digest.
@@ -415,34 +339,21 @@ impl Store {
     /// A bit-different value under an existing digest is a
     /// [`StoreError::Conflict`]; i/o failures propagate.
     pub fn put_baseline(&mut self, digest: u64, accuracy: f64) -> Result<bool, StoreError> {
-        if let Some(existing) = self.baselines.get(&digest) {
-            if existing.accuracy.to_bits() != accuracy.to_bits() {
-                return Err(StoreError::Conflict {
-                    digest,
-                    detail: format!(
-                        "baseline recorded twice with different bits \
-                         ({:?} vs {accuracy:?})",
-                        existing.accuracy
-                    ),
-                });
-            }
+        self.put(Record::Baseline(digest, Stamped::now(accuracy)))
+    }
+
+    fn put(&mut self, record: Record) -> Result<bool, StoreError> {
+        if !self.index.is_new(&record)? {
             return Ok(false);
         }
-        let stamp = now_secs();
-        writeln!(
-            self.writer,
-            "base {digest:016x} {stamp} {}",
-            hex_bits(accuracy)
-        )?;
-        self.writer.flush()?;
-        self.baselines
-            .insert(digest, StoredBaseline { accuracy, stamp });
+        self.log.append(record)?;
+        self.index.insert(record);
         Ok(true)
     }
 
     /// Total records held (cells + baselines).
     pub fn len(&self) -> usize {
-        self.cells.len() + self.baselines.len()
+        self.index.cells.len() + self.index.baselines.len()
     }
 
     /// Whether the store holds no records.
@@ -455,12 +366,12 @@ impl Store {
     /// # Errors
     /// Propagates the file metadata lookup.
     pub fn stat(&self) -> Result<StoreStats, StoreError> {
-        let file_bytes = std::fs::metadata(&self.path)?.len();
-        let stamps = self
-            .cells
+        let file_bytes = std::fs::metadata(self.path())?.len();
+        let Index { cells, baselines } = &self.index;
+        let stamps = cells
             .values()
             .map(|s| s.stamp)
-            .chain(self.baselines.values().map(|s| s.stamp));
+            .chain(baselines.values().map(|s| s.stamp));
         let (oldest, newest) = stamps.fold((None, None), |(lo, hi), s| {
             (
                 Some(lo.map_or(s, |l: u64| l.min(s))),
@@ -468,8 +379,8 @@ impl Store {
             )
         });
         Ok(StoreStats {
-            cells: self.cells.len(),
-            baselines: self.baselines.len(),
+            cells: cells.len(),
+            baselines: baselines.len(),
             file_bytes,
             oldest_stamp: oldest,
             newest_stamp: newest,
@@ -479,7 +390,7 @@ impl Store {
     /// Rewrites the store file, applying `policy` relative to `now`
     /// (unix seconds): records older than `max_age_secs` are dropped,
     /// then the oldest records beyond `max_records` are dropped. The
-    /// rewrite is atomic (temp file + rename), so a crash mid-compact
+    /// rewrite is atomic ([`Log::rewrite`]), so a crash mid-compact
     /// leaves the original store intact.
     ///
     /// # Errors
@@ -489,30 +400,30 @@ impl Store {
         policy: &EvictionPolicy,
         now: u64,
     ) -> Result<CompactReport, StoreError> {
-        let bytes_before = std::fs::metadata(&self.path)?.len();
+        let bytes_before = std::fs::metadata(self.path())?.len();
         let total = self.len();
+        let Index { cells, baselines } = &mut self.index;
 
         if let Some(max_age) = policy.max_age_secs {
             let cutoff = now.saturating_sub(max_age);
-            self.cells.retain(|_, s| s.stamp >= cutoff);
-            self.baselines.retain(|_, s| s.stamp >= cutoff);
+            cells.retain(|_, s| s.stamp >= cutoff);
+            baselines.retain(|_, s| s.stamp >= cutoff);
         }
         if let Some(max_records) = policy.max_records {
-            let over = self.len().saturating_sub(max_records);
+            let over = (cells.len() + baselines.len()).saturating_sub(max_records);
             if over > 0 {
                 // Collect (stamp, kind, digest), evict the `over` oldest.
-                let mut stamps: Vec<(u64, bool, u64)> = self
-                    .cells
+                let mut stamps: Vec<(u64, bool, u64)> = cells
                     .iter()
                     .map(|(&d, s)| (s.stamp, true, d))
-                    .chain(self.baselines.iter().map(|(&d, s)| (s.stamp, false, d)))
+                    .chain(baselines.iter().map(|(&d, s)| (s.stamp, false, d)))
                     .collect();
                 stamps.sort_unstable();
                 for &(_, is_cell, digest) in stamps.iter().take(over) {
                     if is_cell {
-                        self.cells.remove(&digest);
+                        cells.remove(&digest);
                     } else {
-                        self.baselines.remove(&digest);
+                        baselines.remove(&digest);
                     }
                 }
             }
@@ -521,35 +432,11 @@ impl Store {
         // Deterministic record order (by digest) so two compactions of
         // the same contents produce byte-identical files: the BTreeMap
         // index iterates in digest order by construction.
-        let tmp = self.path.with_extension("compact-tmp");
-        {
-            let mut file = File::create(&tmp)?;
-            writeln!(file, "{MAGIC}")?;
-            for (digest, s) in &self.cells {
-                writeln!(
-                    file,
-                    "cell {digest:016x} {} {} {} {} {}",
-                    s.stamp,
-                    hex_bits(s.cell.rel_change),
-                    hex_bits(s.cell.fraction),
-                    hex_bits(s.cell.accuracy),
-                    hex_bits(s.cell.relative_change_percent),
-                )?;
-            }
-            for (digest, s) in &self.baselines {
-                writeln!(
-                    file,
-                    "base {digest:016x} {} {}",
-                    s.stamp,
-                    hex_bits(s.accuracy)
-                )?;
-            }
-            file.sync_all()?;
-        }
-        std::fs::rename(&tmp, &self.path)?;
-        self.writer = BufWriter::new(OpenOptions::new().append(true).open(&self.path)?);
+        let cells = cells.iter().map(|(&d, &s)| Record::Cell(d, s));
+        let baselines = baselines.iter().map(|(&d, &s)| Record::Baseline(d, s));
+        self.log.rewrite(cells.chain(baselines))?;
 
-        let bytes_after = std::fs::metadata(&self.path)?.len();
+        let bytes_after = std::fs::metadata(self.path())?.len();
         Ok(CompactReport {
             kept: self.len(),
             evicted: total - self.len(),
@@ -562,6 +449,9 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::fs::OpenOptions;
+    use std::io::Write;
+    use std::path::PathBuf;
 
     fn temp_path(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("neurofi-store-{name}-{}", std::process::id()));
