@@ -31,6 +31,14 @@ use neurofi_core::sweep::CellAttack;
 use crate::wire::{encode_attack_digest, encode_campaign_spec, encode_setup_spec, Encoder};
 use crate::DistError;
 
+/// Hard cap on a setup's `n_train + n_test`: MNIST's full 60,000 +
+/// 10,000 split, the largest image set the paper's protocol draws from
+/// (the `paper` preset uses 1,000 + 250).
+pub const MAX_SETUP_IMAGES: usize = 70_000;
+/// Hard cap on a setup's per-sample exposure, milliseconds: 40× the
+/// `paper` preset's 250 ms.
+pub const MAX_SAMPLE_TIME_MS: f64 = 10_000.0;
+
 /// The experiment preset a [`SetupSpec`] starts from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SetupBase {
@@ -103,6 +111,39 @@ impl SetupSpec {
             "paper" => Some(SetupSpec::paper(seed)),
             _ => None,
         }
+    }
+
+    /// Rejects setups no worker can run: an empty training or test set,
+    /// an image count that overflows or exceeds [`MAX_SETUP_IMAGES`], or
+    /// a per-sample exposure that is not finite, positive and at most
+    /// [`MAX_SAMPLE_TIME_MS`]. Every preset passes.
+    ///
+    /// # Errors
+    /// Returns [`Error::Invalid`] naming the offending field.
+    pub fn validate(&self) -> Result<(), Error> {
+        let (n_train, n_test) = (self.n_train, self.n_test);
+        if n_train == 0 || n_test == 0 {
+            return Err(Error::Invalid(format!(
+                "setup needs n_train >= 1 and n_test >= 1, got n_train = {n_train}, \
+                 n_test = {n_test}"
+            )));
+        }
+        if n_train
+            .checked_add(n_test)
+            .is_none_or(|total| total > MAX_SETUP_IMAGES)
+        {
+            return Err(Error::Invalid(format!(
+                "setup n_train + n_test = {n_train} + {n_test} exceeds the \
+                 {MAX_SETUP_IMAGES}-image cap"
+            )));
+        }
+        let ms = self.sample_time_ms;
+        if !(ms > 0.0 && ms <= MAX_SAMPLE_TIME_MS) {
+            return Err(Error::Invalid(format!(
+                "setup sample_time_ms must be finite and in (0, {MAX_SAMPLE_TIME_MS}], got {ms}"
+            )));
+        }
+        Ok(())
     }
 
     /// Reconstructs the [`ExperimentSetup`] this spec describes.
@@ -192,14 +233,16 @@ impl NamedCampaign {
 }
 
 impl CampaignSpec {
-    /// Rejects specs that cannot run (see
-    /// [`ScenarioSpec::validate`]): empty or duplicate axes, missing
-    /// primary axes, out-of-range values, missing seeds, an unusable
-    /// VDD transfer table, or hostile sizes.
+    /// Rejects specs that cannot run: a setup no worker can train (see
+    /// [`SetupSpec::validate`]), or a scenario with empty or duplicate
+    /// axes, missing primary axes, out-of-range values, missing seeds,
+    /// an unusable VDD transfer table, or hostile sizes (see
+    /// [`ScenarioSpec::validate`]).
     ///
     /// # Errors
     /// Returns [`Error::Invalid`] with the reason.
     pub fn validate(&self) -> Result<(), Error> {
+        self.setup.validate()?;
         self.scenario.validate()
     }
 
@@ -697,6 +740,33 @@ mod tests {
         let mut spec = named_campaign("tiny").unwrap();
         spec.scenario.seeds.clear();
         assert!(spec.validate().is_err());
+
+        // Setups no worker can train are refused up front, naming the
+        // field, instead of panicking inside every worker that takes
+        // the campaign.
+        let with_setup = |edit: &dyn Fn(&mut SetupSpec)| {
+            let mut spec = named_campaign("tiny").unwrap();
+            edit(&mut spec.setup);
+            spec
+        };
+        let broken = [
+            ("n_train", with_setup(&|s| s.n_train = usize::MAX)),
+            ("n_train", with_setup(&|s| s.n_train = 0)),
+            ("n_test", with_setup(&|s| s.n_test = 0)),
+            (
+                "sample_time_ms",
+                with_setup(&|s| s.sample_time_ms = f64::NAN),
+            ),
+            ("sample_time_ms", with_setup(&|s| s.sample_time_ms = -5.0)),
+        ];
+        for (field, spec) in broken {
+            let err = spec.validate().unwrap_err().to_string();
+            assert!(err.contains(field), "{:?}: {err}", spec.setup);
+        }
+        // Every preset fits under both caps.
+        for name in ["bench", "quick", "paper"] {
+            SetupSpec::named(name, 1).unwrap().validate().unwrap();
+        }
 
         let mut spec = named_campaign("tiny").unwrap();
         spec.scenario

@@ -9,7 +9,8 @@
 //! path (which must never poison healthy cells), explicit
 //! execution-failure poisoning, old-protocol rejection (v1 *and* v2),
 //! live submission (announce ordering, journal binding, kill + resume,
-//! bit-identical merges, a worker that joined an empty service), and
+//! bit-identical merges, a worker that joined an empty service, refusal
+//! of an untrainable setup), and
 //! `--fair` weighted-round-robin interleaving bounds.
 
 use std::path::PathBuf;
@@ -750,6 +751,36 @@ fn live_submission_merges_bit_identical_and_survives_kill_plus_resume() {
     assert_bit_identical(&run.campaigns[1].result, &serial_theta);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_submission_with_an_untrainable_setup_is_refused_naming_the_field() {
+    // An empty training set would pass the scenario checks and then
+    // panic inside every worker that takes the campaign; the
+    // coordinator must refuse it at submission instead of answering
+    // `SubmitOk`.
+    let mut config = CoordinatorConfig::with_campaigns("loopback", Vec::new());
+    config.persistent = true;
+    let hub = LoopbackHub::new();
+    let listener = StopOnCancel(hub.listener());
+    let stop = listener.canceller();
+    let serve = std::thread::spawn(move || serve_transport(listener, config));
+    let mut broken = named_campaign("tiny").unwrap();
+    broken.setup.n_train = 0;
+    match submit_on(&mut hub.connect(), NamedCampaign::new("broken", broken)) {
+        Err(DistError::Aborted(reason)) => {
+            assert!(
+                reason.contains("n_train"),
+                "the abort names the field: {reason}"
+            )
+        }
+        other => panic!("an untrainable setup must be refused, got {other:?}"),
+    }
+    stop();
+    assert!(
+        serve.join().unwrap().is_err(),
+        "a stopped service reports the stop"
+    );
 }
 
 /// A loopback listener whose cancellation fails the accept: the stop

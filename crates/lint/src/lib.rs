@@ -227,7 +227,9 @@ fn render_baseline(counts: &BTreeMap<String, Vec<rules::panics::PanicSite>>) -> 
 }
 
 /// The crates whose `src/` trees form the deterministic zone.
-const DETERMINISM_ZONE: &[&str] = &["core", "dist", "store", "bench", "solver"];
+const DETERMINISM_ZONE: &[&str] = &[
+    "core", "dist", "store", "bench", "solver", "spice", "analog",
+];
 /// The crates under the panic ratchet.
 const PANIC_ZONE: &[&str] = &["dist", "store", "solver", "spice"];
 

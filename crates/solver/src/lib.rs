@@ -1,9 +1,7 @@
 //! # neurofi-solver
 //!
 //! Dependency-free linear-solver engines for modified nodal analysis,
-//! plus the numerical control logic that surrounds them: deterministic
-//! DC homotopy schedules and an error-weighted adaptive timestep
-//! controller.
+//! plus the deterministic DC homotopy schedules that surround them.
 //!
 //! The crate exists so `neurofi-spice` can scale past the paper's
 //! ~25-unknown neuron cells to whole-layer netlists (hundreds of
@@ -21,10 +19,6 @@
 //!   Newton iterations scatter in O(1) per stamp; the pivot order and
 //!   fill pattern from the first factorisation are reused by a
 //!   KLU-style numeric refactorisation on every subsequent solve.
-//! * [`step::StepControl`] — error-weighted step accept/reject for
-//!   transient analysis: a step is accepted iff the
-//!   predictor/corrector difference is within `reltol·|x| + abstol`
-//!   weights, and rejected steps shrink strictly monotonically.
 //! * [`homotopy`] — the gmin-stepping and source-stepping schedules
 //!   used by robust DC operating-point solves, as deterministic value
 //!   iterators.
@@ -38,11 +32,9 @@
 
 pub mod homotopy;
 pub mod sparse;
-pub mod step;
 
 pub use homotopy::{GminSchedule, SourceSchedule};
 pub use sparse::SparseWorkspace;
-pub use step::{StepControl, StepDecision};
 
 use std::fmt;
 

@@ -1,92 +1,12 @@
-//! Property-based tests of the solver crate's numerical control logic:
-//! the adaptive step controller's accept/reject invariants and the
-//! sparse LU's residuals under pattern reuse.
+//! Property-based tests of the solver crate: the sparse LU's residuals
+//! under pattern reuse.
 
 use proptest::prelude::*;
 
-use neurofi_solver::{LinearSolver, SparseWorkspace, StepControl, StepDecision};
+use neurofi_solver::{LinearSolver, SparseWorkspace};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// `decide` accepts exactly when the error ratio is ≤ 1, and an
-    /// accepted step satisfies every per-unknown error weight.
-    #[test]
-    fn accept_iff_error_weights_satisfied(
-        seed in any::<u64>(),
-        n in 1usize..12,
-        h in 1.0e-12f64..1.0e-6,
-    ) {
-        let mut state = seed | 1;
-        let mut next = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-            ((state >> 33) as f64 / (1u64 << 31) as f64) - 1.0
-        };
-        let ctrl = StepControl::default();
-        let corrected: Vec<f64> = (0..n).map(|_| next()).collect();
-        let predicted: Vec<f64> = corrected
-            .iter()
-            .map(|c| c + next() * 1.0e-4)
-            .collect();
-        let reference: Vec<f64> = (0..n).map(|_| next()).collect();
-        let ratio = ctrl.error_ratio(&corrected, &predicted, &reference);
-        prop_assert!(ratio.is_finite() && ratio >= 0.0);
-        match ctrl.decide(h, ratio) {
-            StepDecision::Accept { next_h } => {
-                prop_assert!(ratio <= 1.0, "accepted with ratio {ratio}");
-                // Accepted ⇒ every unknown's local error fits its weight.
-                for ((&c, &p), &r) in corrected.iter().zip(&predicted).zip(&reference) {
-                    let weight = ctrl.reltol * c.abs().max(r.abs()) + ctrl.abstol;
-                    prop_assert!((c - p).abs() <= weight * (1.0 + 1e-12));
-                }
-                prop_assert!(next_h >= ctrl.h_min && next_h <= h * ctrl.grow_max * (1.0 + 1e-12));
-            }
-            StepDecision::Reject { .. } => {
-                prop_assert!(ratio > 1.0, "rejected with ratio {ratio}");
-            }
-        }
-    }
-
-    /// Every rejection shrinks the step strictly and monotonically in
-    /// the error ratio, down to the `h_min` floor.
-    #[test]
-    fn reject_shrinks_strictly_and_monotonically(
-        h_exp in -12.0f64..-6.0,
-        ratio_a in 1.0001f64..1.0e6,
-        ratio_mul in 1.0001f64..1.0e3,
-    ) {
-        let ctrl = StepControl::default();
-        let h = 10f64.powf(h_exp);
-        let ratio_b = ratio_a * ratio_mul;
-        let retry = |ratio: f64| match ctrl.decide(h, ratio) {
-            StepDecision::Reject { retry_h } => retry_h,
-            StepDecision::Accept { .. } => panic!("ratio {ratio} > 1 must reject"),
-        };
-        let ra = retry(ratio_a);
-        let rb = retry(ratio_b);
-        prop_assert!(ra < h, "retry {ra} did not shrink from {h}");
-        prop_assert!(rb < h);
-        // Larger error never yields a larger retry step.
-        prop_assert!(rb <= ra * (1.0 + 1e-12), "{rb} > {ra}");
-        // And both honour the floor.
-        prop_assert!(ra >= ctrl.h_min && rb >= ctrl.h_min);
-    }
-
-    /// Non-finite corrector values always reject, never panic.
-    #[test]
-    fn non_finite_corrections_reject(
-        h in 1.0e-12f64..1.0e-6,
-        pick in 0usize..3,
-    ) {
-        let poison = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][pick];
-        let ctrl = StepControl::default();
-        let ratio = ctrl.error_ratio(&[0.5, poison], &[0.5, 0.5], &[0.5, 0.5]);
-        prop_assert!(ratio.is_infinite());
-        match ctrl.decide(h, ratio) {
-            StepDecision::Reject { retry_h } => prop_assert!(retry_h < h),
-            StepDecision::Accept { .. } => prop_assert!(false, "must reject"),
-        }
-    }
 
     /// The sparse LU solves random diagonally-dominant systems to tight
     /// residuals, including re-solves that exercise the frozen-pattern

@@ -15,10 +15,10 @@
 //!   `neurofi-solver` for whole-layer netlists with hundreds of unknowns.
 //! * **Newton–Raphson** nonlinear iteration with voltage-step limiting,
 //!   `gmin` stepping and source stepping fall-backs.
-//! * **Transient analysis** using backward-Euler or trapezoidal companion
-//!   models, with automatic step halving when Newton fails to converge, and
-//!   optional error-weighted adaptive timestep control
-//!   ([`TranSpec::with_adaptive`]).
+//! * **Transient analysis** ([`TranSpec`]) on one fixed-step path:
+//!   backward-Euler companion models, the base step clipped to land on
+//!   source breakpoints, and automatic step halving when Newton fails to
+//!   converge.
 //! * An **EKV-style MOSFET compact model** ([`device::MosModel`]): a single
 //!   smooth equation covering subthreshold, triode and saturation, with
 //!   analytic derivatives (crucial for the slow membrane-voltage ramps of

@@ -1,6 +1,6 @@
 //! Circuit description: nodes, elements, and the builder API.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::circuit::Circuit;
 use crate::device::MosModel;
@@ -176,9 +176,9 @@ impl Element {
 #[derive(Debug, Clone, Default)]
 pub struct Netlist {
     node_names: Vec<String>,
-    name_to_node: HashMap<String, NodeId>,
+    name_to_node: BTreeMap<String, NodeId>,
     elements: Vec<Element>,
-    element_names: HashMap<String, usize>,
+    element_names: BTreeMap<String, usize>,
 }
 
 impl Netlist {
@@ -189,9 +189,9 @@ impl Netlist {
     pub fn new() -> Netlist {
         let mut nl = Netlist {
             node_names: vec!["0".to_string()],
-            name_to_node: HashMap::new(),
+            name_to_node: BTreeMap::new(),
             elements: Vec::new(),
-            element_names: HashMap::new(),
+            element_names: BTreeMap::new(),
         };
         nl.name_to_node.insert("0".into(), NodeId(0));
         nl.name_to_node.insert("gnd".into(), NodeId(0));

@@ -22,7 +22,7 @@
 //! on every number. The first line of a deck is a title (SPICE tradition)
 //! unless it parses as a card.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use crate::circuit::TranSpec;
 use crate::device::MosModel;
@@ -97,7 +97,7 @@ pub fn parse_deck(text: &str) -> Result<ParsedDeck> {
         tran: None,
         initial_conditions: Vec::new(),
     };
-    let mut models: HashMap<String, MosModel> = HashMap::new();
+    let mut models: BTreeMap<String, MosModel> = BTreeMap::new();
     // Pre-scan for .model cards so M lines can appear before their model.
     for (lineno, line) in &logical {
         let lower = line.to_ascii_lowercase();
@@ -234,11 +234,14 @@ fn parse_tran_card(line: &str, lineno: usize) -> Result<TranSpec> {
     }
     let dt = number(tokens[1], lineno)?;
     let tstop = number(tokens[2], lineno)?;
-    let valid = dt > 0.0 && tstop > 0.0 && dt <= tstop;
+    // `TranSpec::new` panics outside this range, so refuse it here.
+    let valid = dt > 0.0 && dt <= tstop && tstop.is_finite();
     if !valid {
         return Err(Error::Parse {
             line: lineno,
-            message: format!(".tran times out of range (dt={dt}, tstop={tstop})"),
+            message: format!(
+                ".tran times must be finite with 0 < dt <= tstop (dt={dt}, tstop={tstop})"
+            ),
         });
     }
     let mut spec = TranSpec::new(tstop, dt);
@@ -350,7 +353,7 @@ fn parse_element_card(
     line: &str,
     lineno: usize,
     netlist: &mut Netlist,
-    models: &HashMap<String, MosModel>,
+    models: &BTreeMap<String, MosModel>,
 ) -> Result<()> {
     let tokens: Vec<&str> = line.split_whitespace().collect();
     let name = tokens[0];
@@ -625,6 +628,20 @@ mod tests {
         match deck.netlist.find_element("V1").unwrap() {
             Element::VSource { wave, .. } => assert_eq!(*wave, Waveform::Dc(1.5)),
             _ => panic!("wrong element"),
+        }
+    }
+
+    #[test]
+    fn infinite_tran_times_are_parse_errors() {
+        for card in [".tran 1n inf", ".tran 1n 1e999"] {
+            let err = parse_deck(&format!("t\nR1 a 0 1k\n{card}\n")).unwrap_err();
+            match err {
+                Error::Parse { line, message } => {
+                    assert_eq!(line, 3, "{card}");
+                    assert!(message.contains("finite"), "{card}: {message}");
+                }
+                other => panic!("{card}: wrong error {other}"),
+            }
         }
     }
 
