@@ -306,7 +306,7 @@ mod tests {
         assert!(changes[1] < changes[0], "{changes:?}");
         assert!(changes[2] < changes[1], "{changes:?}");
         // Paper: −18% stock → −5.23% at 32:1; our EKV model pins less
-        // aggressively (see EXPERIMENTS.md) but must stay below 16%.
+        // aggressively (≈−12..−15%) but must stay below 16%.
         assert!(changes[2] < 16.0, "{changes:?}");
     }
 }

@@ -317,7 +317,7 @@ pub fn fig9c(fidelity: Fidelity) -> Result<Table, Error> {
     table.push_note(
         "known deviation: our EKV model's moderate-inversion blur limits the pinning \
          to ≈−12..−15% at 32:1 (paper's HSPICE reports −5.23%); direction and \
-         monotonicity are preserved — see EXPERIMENTS.md",
+         monotonicity are preserved",
     );
     Ok(table)
 }

@@ -180,8 +180,7 @@ pub trait Attack {
         self.run_with_baseline(setup, baseline)
     }
 
-    /// Runs only the attacked experiment, reusing a precomputed baseline
-    /// (the sweep engine calls this to amortise the baseline).
+    /// Runs only the attacked experiment, reusing a precomputed baseline.
     ///
     /// # Errors
     /// See [`Attack::run`].

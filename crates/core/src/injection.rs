@@ -7,9 +7,6 @@
 
 use neurofi_analog::PowerTransferTable;
 use neurofi_snn::diehl_cook::DiehlCook2015;
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
 
 /// Which population a threshold fault targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -29,33 +26,6 @@ impl std::fmt::Display for TargetLayer {
     }
 }
 
-/// How the affected subset of a layer is chosen when the fraction is
-/// below 100% (the paper's local-glitch scenario, §III-A case 3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Selection {
-    /// The first ⌈fraction·n⌉ neurons (a physically contiguous region,
-    /// as a focused glitch would hit).
-    FirstK,
-    /// A seeded uniform random subset.
-    RandomSeeded(u64),
-}
-
-/// How a "threshold change of x%" maps onto the behavioural model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ThresholdConvention {
-    /// Scale the signed biological threshold (−52 mV → −41.6 mV for
-    /// −20%), exactly as the paper applies its sweep to BindsNET
-    /// parameters. Negative changes make neurons *harder* to fire. This is
-    /// the paper-reproducing default; see DESIGN.md for the polarity
-    /// discussion.
-    #[default]
-    PaperSignedScale,
-    /// Scale the threshold's distance from rest (13 mV → 10.4 mV for
-    /// −20%), the circuit-faithful direction where negative changes make
-    /// neurons *easier* to fire.
-    DistanceFromRest,
-}
-
 /// A threshold fault on one layer.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThresholdFault {
@@ -63,12 +33,11 @@ pub struct ThresholdFault {
     pub layer: TargetLayer,
     /// Relative threshold change (−0.20 for the paper's "−20%").
     pub rel_change: f64,
-    /// Fraction of the layer affected, in `[0, 1]`.
+    /// Fraction of the layer affected, in `[0, 1]`: the first
+    /// `round(fraction·n)` neurons, a physically contiguous region, as a
+    /// focused glitch would hit (the paper's local-glitch scenario,
+    /// §III-A case 3).
     pub fraction: f64,
-    /// Subset selection strategy.
-    pub selection: Selection,
-    /// Interpretation of `rel_change`.
-    pub convention: ThresholdConvention,
 }
 
 /// A drive (input-spike amplitude / "theta") fault.
@@ -108,8 +77,8 @@ impl FaultPlan {
         }
     }
 
-    /// Threshold fault on one layer with the paper's signed-scale
-    /// convention and contiguous selection.
+    /// Threshold fault on the first `round(fraction·n)` neurons of one
+    /// layer.
     ///
     /// # Panics
     /// Panics if `fraction` is outside `[0, 1]` or `rel_change` is not in
@@ -121,8 +90,6 @@ impl FaultPlan {
                 layer,
                 rel_change,
                 fraction,
-                selection: Selection::FirstK,
-                convention: ThresholdConvention::PaperSignedScale,
             }],
             drive: None,
         }
@@ -141,15 +108,11 @@ impl FaultPlan {
                     layer: TargetLayer::Excitatory,
                     rel_change,
                     fraction: 1.0,
-                    selection: Selection::FirstK,
-                    convention: ThresholdConvention::PaperSignedScale,
                 },
                 ThresholdFault {
                     layer: TargetLayer::Inhibitory,
                     rel_change,
                     fraction: 1.0,
-                    selection: Selection::FirstK,
-                    convention: ThresholdConvention::PaperSignedScale,
                 },
             ],
             drive: None,
@@ -171,15 +134,11 @@ impl FaultPlan {
                     layer: TargetLayer::Excitatory,
                     rel_change: rel,
                     fraction: 1.0,
-                    selection: Selection::FirstK,
-                    convention: ThresholdConvention::PaperSignedScale,
                 },
                 ThresholdFault {
                     layer: TargetLayer::Inhibitory,
                     rel_change: rel,
                     fraction: 1.0,
-                    selection: Selection::FirstK,
-                    convention: ThresholdConvention::PaperSignedScale,
                 },
             ],
             drive: Some(DriveFault {
@@ -200,42 +159,27 @@ impl FaultPlan {
     }
 
     /// Indices of the affected neurons for a layer of `n` under the given
-    /// fraction/selection.
-    pub fn affected_indices(n: usize, fraction: f64, selection: Selection) -> Vec<usize> {
+    /// fraction: the first `round(fraction·n)`.
+    pub fn affected_indices(n: usize, fraction: f64) -> Vec<usize> {
         let k = ((n as f64) * fraction).round() as usize;
-        let k = k.min(n);
-        match selection {
-            Selection::FirstK => (0..k).collect(),
-            Selection::RandomSeeded(seed) => {
-                let mut all: Vec<usize> = (0..n).collect();
-                let mut rng = StdRng::seed_from_u64(seed);
-                all.shuffle(&mut rng);
-                let mut chosen: Vec<usize> = all.into_iter().take(k).collect();
-                chosen.sort_unstable();
-                chosen
-            }
-        }
+        (0..k.min(n)).collect()
     }
 
     /// Applies the plan to a network (on top of its current state; use
     /// [`DiehlCook2015::clear_faults`] first for a clean slate).
+    ///
+    /// A threshold fault scales the *signed* biological threshold
+    /// (−52 mV → −41.6 mV for −20%), exactly as the paper applies its
+    /// sweep to BindsNET's parameters: a negative change moves the
+    /// threshold toward 0 mV and makes neurons *harder* to fire.
     pub fn apply(&self, net: &mut DiehlCook2015) {
         for fault in &self.thresholds {
             let layer = match fault.layer {
                 TargetLayer::Excitatory => &mut net.excitatory,
                 TargetLayer::Inhibitory => &mut net.inhibitory,
             };
-            let scale = match fault.convention {
-                ThresholdConvention::PaperSignedScale => (1.0 + fault.rel_change) as f32,
-                ThresholdConvention::DistanceFromRest => {
-                    let p = layer.params();
-                    let distance = p.v_thresh - p.v_rest;
-                    let new_thresh = p.v_rest + distance * (1.0 + fault.rel_change) as f32;
-                    new_thresh / p.v_thresh
-                }
-            };
-            let n = layer.len();
-            for idx in Self::affected_indices(n, fault.fraction, fault.selection) {
+            let scale = (1.0 + fault.rel_change) as f32;
+            for idx in Self::affected_indices(layer.len(), fault.fraction) {
                 layer.threshold_scale[idx] = scale;
             }
         }
@@ -301,54 +245,11 @@ mod tests {
     }
 
     #[test]
-    fn distance_convention_flips_direction() {
-        // −20% distance-from-rest must make the neuron easier to fire
-        // (threshold closer to rest), the circuit-faithful direction.
-        let mut paper_net = net();
-        FaultPlan {
-            thresholds: vec![ThresholdFault {
-                layer: TargetLayer::Excitatory,
-                rel_change: -0.2,
-                fraction: 1.0,
-                selection: Selection::FirstK,
-                convention: ThresholdConvention::DistanceFromRest,
-            }],
-            drive: None,
-        }
-        .apply(&mut paper_net);
-        let p = paper_net.excitatory.params().clone();
-        let effective = p.v_thresh * paper_net.excitatory.threshold_scale[0];
-        let expect = p.v_rest + (p.v_thresh - p.v_rest) * 0.8;
-        assert!((effective - expect).abs() < 1e-4);
-        assert!(
-            effective < p.v_thresh,
-            "easier to fire: closer to rest from above? "
-        );
-    }
-
-    #[test]
-    fn random_selection_is_seeded_and_sized() {
-        let a = FaultPlan::affected_indices(100, 0.3, Selection::RandomSeeded(5));
-        let b = FaultPlan::affected_indices(100, 0.3, Selection::RandomSeeded(5));
-        let c = FaultPlan::affected_indices(100, 0.3, Selection::RandomSeeded(6));
-        assert_eq!(a, b);
-        assert_ne!(a, c);
-        assert_eq!(a.len(), 30);
-        assert!(a.windows(2).all(|w| w[0] < w[1]), "sorted and unique");
-    }
-
-    #[test]
     fn fraction_edge_cases() {
-        assert!(FaultPlan::affected_indices(100, 0.0, Selection::FirstK).is_empty());
-        assert_eq!(
-            FaultPlan::affected_indices(100, 1.0, Selection::FirstK).len(),
-            100
-        );
+        assert!(FaultPlan::affected_indices(100, 0.0).is_empty());
+        assert_eq!(FaultPlan::affected_indices(100, 1.0).len(), 100);
         // Rounding: 0.25 of 10 = 2.5 -> 3 (round-half-up).
-        assert_eq!(
-            FaultPlan::affected_indices(10, 0.25, Selection::FirstK).len(),
-            3
-        );
+        assert_eq!(FaultPlan::affected_indices(10, 0.25).len(), 3);
     }
 
     #[test]

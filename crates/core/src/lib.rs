@@ -69,7 +69,7 @@ pub use attacks::{Attack, AttackOutcome, GlobalVddAttack, InputCorruptionAttack,
 pub use defense::{Defense, OverheadEstimate};
 pub use detection::{DetectionOutcome, DummyNeuronDetector};
 pub use error::Error;
-pub use injection::{FaultPlan, Selection, TargetLayer, ThresholdConvention};
+pub use injection::{FaultPlan, TargetLayer};
 pub use neurofi_analog::PowerTransferTable;
 pub use report::Table;
 pub use scenario::{

@@ -1,6 +1,6 @@
 //! Result tables with paper-reference columns, rendered as markdown or
 //! CSV. The reproduction harness (`neurofi-bench`) builds one table per
-//! paper figure and records them in EXPERIMENTS.md.
+//! paper figure; `repro --out DIR` writes each as CSV.
 
 use std::fmt;
 

@@ -228,7 +228,7 @@ fn render_baseline(counts: &BTreeMap<String, Vec<rules::panics::PanicSite>>) -> 
 
 /// The crates whose `src/` trees form the deterministic zone.
 const DETERMINISM_ZONE: &[&str] = &[
-    "core", "dist", "store", "bench", "solver", "spice", "analog",
+    "core", "dist", "store", "bench", "solver", "spice", "analog", "snn", "data",
 ];
 /// The crates under the panic ratchet.
 const PANIC_ZONE: &[&str] = &["dist", "store", "solver", "spice"];

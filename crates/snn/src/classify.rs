@@ -91,109 +91,6 @@ pub fn predict_all_activity(counts: &[f32], assignments: &[usize], n_classes: us
     best
 }
 
-/// Per-neuron class firing proportions, the basis of BindsNET's
-/// "proportion weighting" prediction scheme.
-///
-/// `proportions[neuron][class]` is the fraction of the neuron's training
-/// activity that occurred on samples of `class` (rows sum to 1 for
-/// neurons that fired at all, and are all-zero otherwise).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClassProportions {
-    proportions: Vec<Vec<f64>>,
-    n_classes: usize,
-}
-
-impl ClassProportions {
-    /// Computes proportions from training spike records.
-    ///
-    /// # Panics
-    /// Panics under the same conditions as [`assign_labels`].
-    pub fn from_records(records: &[Vec<f32>], labels: &[u8], n_classes: usize) -> ClassProportions {
-        assert_eq!(
-            records.len(),
-            labels.len(),
-            "records/labels length mismatch"
-        );
-        assert!(
-            !records.is_empty(),
-            "cannot compute proportions from no records"
-        );
-        let n_neurons = records[0].len();
-        let mut class_sums = vec![vec![0.0f64; n_classes]; n_neurons];
-        let mut class_counts = vec![0usize; n_classes];
-        for (record, &label) in records.iter().zip(labels) {
-            assert_eq!(record.len(), n_neurons, "inconsistent record widths");
-            let class = label as usize;
-            assert!(class < n_classes, "label {label} out of range");
-            class_counts[class] += 1;
-            for (neuron, &c) in record.iter().enumerate() {
-                class_sums[neuron][class] += c as f64;
-            }
-        }
-        // Normalise by class frequency first (as assign_labels does), then
-        // to proportions per neuron.
-        let proportions = class_sums
-            .into_iter()
-            .map(|mut sums| {
-                for (class, s) in sums.iter_mut().enumerate() {
-                    if class_counts[class] > 0 {
-                        *s /= class_counts[class] as f64;
-                    }
-                }
-                let total: f64 = sums.iter().sum();
-                if total > 0.0 {
-                    for s in &mut sums {
-                        *s /= total;
-                    }
-                }
-                sums
-            })
-            .collect();
-        ClassProportions {
-            proportions,
-            n_classes,
-        }
-    }
-
-    /// Number of neurons covered.
-    pub fn len(&self) -> usize {
-        self.proportions.len()
-    }
-
-    /// True when no neurons are covered (cannot happen post-construction).
-    pub fn is_empty(&self) -> bool {
-        self.proportions.is_empty()
-    }
-
-    /// Predicts the class of one presentation by weighting each neuron's
-    /// spike count with its class proportions (BindsNET
-    /// `proportion_weighting`). Ties break toward the lower class.
-    ///
-    /// # Panics
-    /// Panics if `counts.len()` differs from the neuron count.
-    pub fn predict(&self, counts: &[f32]) -> usize {
-        assert_eq!(
-            counts.len(),
-            self.proportions.len(),
-            "counts length mismatch"
-        );
-        let mut scores = vec![0.0f64; self.n_classes];
-        for (neuron, &count) in counts.iter().enumerate() {
-            if count > 0.0 {
-                for (class, p) in self.proportions[neuron].iter().enumerate() {
-                    scores[class] += p * count as f64;
-                }
-            }
-        }
-        scores
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).unwrap().then(b.0.cmp(&a.0)))
-            .map(|(class, _)| class)
-            .unwrap_or(0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -260,46 +157,5 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn rejects_mismatched_inputs() {
         assign_labels(&[vec![1.0]], &[1, 2], 10);
-    }
-
-    #[test]
-    fn proportions_rows_sum_to_one() {
-        let records = vec![
-            vec![5.0, 0.0], // label 1
-            vec![5.0, 2.0], // label 0
-        ];
-        let p = ClassProportions::from_records(&records, &[1, 0], 10);
-        assert_eq!(p.len(), 2);
-        // Neuron 0 fired equally for both classes.
-        let score0 = p.predict(&[1.0, 0.0]);
-        let _ = score0; // ties allowed; just must not panic
-                        // Neuron 1 fired only for class 0.
-        assert_eq!(p.predict(&[0.0, 3.0]), 0);
-    }
-
-    #[test]
-    fn proportion_prediction_uses_partial_selectivity() {
-        // Neuron fires 75% for class 2, 25% for class 5; all-activity
-        // assignment would give it wholly to class 2, but proportions keep
-        // the 25% evidence for class 5.
-        let records = vec![
-            vec![3.0], // 2
-            vec![1.0], // 5
-        ];
-        let p = ClassProportions::from_records(&records, &[2, 5], 10);
-        assert_eq!(p.predict(&[4.0]), 2);
-        // A second neuron exclusively voting 5 can outweigh it.
-        let records = vec![
-            vec![3.0, 0.0], // 2
-            vec![1.0, 5.0], // 5
-        ];
-        let p = ClassProportions::from_records(&records, &[2, 5], 10);
-        assert_eq!(p.predict(&[1.0, 4.0]), 5);
-    }
-
-    #[test]
-    fn silent_network_predicts_class_zero() {
-        let p = ClassProportions::from_records(&[vec![1.0, 1.0]], &[3], 10);
-        assert_eq!(p.predict(&[0.0, 0.0]), 0);
     }
 }

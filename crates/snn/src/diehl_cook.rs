@@ -9,19 +9,12 @@
 //! IL ──all-but-self (−120)──▶ EL        (lateral competition)
 //! ```
 //!
-//! Learning is a single pass with post-pre STDP (rates 4·10⁻⁴/2·10⁻⁴),
-//! per-sample weight normalisation to 78.4, and adaptive excitatory
-//! thresholds. Classification assigns each excitatory neuron to the digit
-//! class it fires most for, then predicts by mean assigned-class activity.
-//!
-//! The paper trains with batch size 32. Both protocols are available:
-//! sequential immediate STDP updates (default), and true batched training
-//! ([`begin_batch`]/[`end_batch`], driven by
-//! `TrainOptions::batched`) where updates accumulate over each batch and
-//! apply at the boundary.
-//!
-//! [`begin_batch`]: DiehlCook2015::begin_batch
-//! [`end_batch`]: DiehlCook2015::end_batch
+//! Learning is a single pass with post-pre STDP applied after every
+//! simulation step (the paper trains in batches of 32; see
+//! [`PostPreStdp`] for the rates), per-sample weight normalisation to
+//! 78.4, and adaptive excitatory thresholds. Classification assigns each
+//! excitatory neuron to the digit class it fires most for, then predicts
+//! by mean assigned-class activity.
 
 use crate::encoding::PoissonEncoder;
 use crate::learning::PostPreStdp;
@@ -56,9 +49,6 @@ pub struct DiehlCookConfig {
     pub max_rate_hz: f64,
     /// STDP learning rates.
     pub stdp: PostPreStdp,
-    /// Batch size from the paper's protocol (32); used when training with
-    /// `TrainOptions::batched` — see module docs.
-    pub batch_size: usize,
     /// Excitatory neuron parameters.
     pub excitatory: LifParameters,
     /// Inhibitory neuron parameters.
@@ -84,7 +74,6 @@ impl Default for DiehlCookConfig {
             // baseline — see PostPreStdp::paper() for why the paper's
             // prose rates are not used here.
             stdp: PostPreStdp::bindsnet(),
-            batch_size: 32,
             excitatory: LifParameters::diehl_cook_excitatory(),
             inhibitory: LifParameters::diehl_cook_inhibitory(),
         }
@@ -123,9 +112,6 @@ pub struct DiehlCook2015 {
     pub learning: bool,
     seed: u64,
     samples_seen: u64,
-    /// When batching, STDP updates accumulate here instead of being
-    /// applied immediately; `end_batch` applies the sum.
-    pending_deltas: Option<crate::tensor::Matrix>,
     // Scratch buffers reused across steps.
     exc_current: Vec<f32>,
     inh_current: Vec<f32>,
@@ -176,7 +162,6 @@ impl DiehlCook2015 {
             learning: true,
             seed,
             samples_seen: 0,
-            pending_deltas: None,
             exc_current: vec![0.0; n_exc],
             inh_current: vec![0.0; n_inh],
             spike_buffer: vec![0.0; n_in],
@@ -216,44 +201,13 @@ impl DiehlCook2015 {
         self.inhibitory.step(&self.inh_current);
 
         if self.learning {
-            match &mut self.pending_deltas {
-                Some(deltas) => self.config.stdp.accumulate(
-                    &self.input_to_exc,
-                    deltas,
-                    &self.input.spikes,
-                    &self.input.traces,
-                    &self.excitatory.spikes,
-                    &self.excitatory.traces,
-                ),
-                None => self.config.stdp.update(
-                    &mut self.input_to_exc,
-                    &self.input.spikes,
-                    &self.input.traces,
-                    &self.excitatory.spikes,
-                    &self.excitatory.traces,
-                ),
-            }
-        }
-    }
-
-    /// Starts a training batch: subsequent STDP updates accumulate into a
-    /// pending-delta buffer instead of the shared weights, mirroring
-    /// BindsNET's batched training (the paper trains with batch size 32).
-    pub fn begin_batch(&mut self) {
-        self.pending_deltas = Some(crate::tensor::Matrix::zeros(
-            self.config.n_input,
-            self.config.n_excitatory,
-        ));
-    }
-
-    /// Ends a training batch, applying the accumulated weight deltas (with
-    /// clamping) to the shared weights. No-op when no batch is open.
-    pub fn end_batch(&mut self) {
-        if let Some(deltas) = self.pending_deltas.take() {
-            for r in 0..deltas.rows() {
-                self.input_to_exc.w.add_into_row(r, deltas.row(r));
-            }
-            self.input_to_exc.clamp_weights();
+            self.config.stdp.update(
+                &mut self.input_to_exc,
+                &self.input.spikes,
+                &self.input.traces,
+                &self.excitatory.spikes,
+                &self.excitatory.traces,
+            );
         }
     }
 
@@ -342,7 +296,6 @@ mod tests {
         assert!((c.exc_weight - 22.5).abs() < 1e-6);
         assert!((c.inh_weight - 120.0).abs() < 1e-6);
         assert!((c.norm - 78.4).abs() < 1e-6);
-        assert_eq!(c.batch_size, 32);
     }
 
     #[test]

@@ -34,8 +34,7 @@ impl PostPreStdp {
     /// near chance (~12%); the BindsNET library the paper built on ships
     /// `nu = (1e-4, 1e-2)` ([`PostPreStdp::bindsnet`]), which reproduces
     /// the paper's 75.92% baseline (~79% on SynthDigits). The default
-    /// network configuration therefore uses [`PostPreStdp::bindsnet`];
-    /// see EXPERIMENTS.md for the comparison.
+    /// network configuration therefore uses [`PostPreStdp::bindsnet`].
     pub fn paper() -> PostPreStdp {
         PostPreStdp {
             nu_pre: 4.0e-4,
@@ -121,49 +120,6 @@ impl PostPreStdp {
                 if s > 0.0 {
                     conn.w.clamp_row(i, lo, hi);
                 }
-            }
-        }
-    }
-
-    /// Like [`PostPreStdp::update`], but accumulates the weight changes
-    /// into `deltas` instead of applying them — the building block of
-    /// batched training, where updates from all batch elements are summed
-    /// before touching the shared weights.
-    ///
-    /// # Panics
-    /// Panics if `deltas` or the slices disagree with the connection
-    /// shape.
-    pub fn accumulate(
-        &self,
-        conn: &DenseConnection,
-        deltas: &mut crate::tensor::Matrix,
-        pre_spikes: &[f32],
-        pre_traces: &[f32],
-        post_spikes: &[f32],
-        post_traces: &[f32],
-    ) {
-        assert_eq!(deltas.rows(), conn.w.rows(), "delta shape mismatch");
-        assert_eq!(deltas.cols(), conn.w.cols(), "delta shape mismatch");
-        assert_eq!(pre_spikes.len(), conn.w.rows(), "pre spike length mismatch");
-        assert_eq!(pre_traces.len(), conn.w.rows(), "pre trace length mismatch");
-        assert_eq!(
-            post_spikes.len(),
-            conn.w.cols(),
-            "post spike length mismatch"
-        );
-        assert_eq!(
-            post_traces.len(),
-            conn.w.cols(),
-            "post trace length mismatch"
-        );
-        for (i, &s) in pre_spikes.iter().enumerate() {
-            if s > 0.0 {
-                deltas.add_scaled_into_row(i, -self.nu_pre, post_traces);
-            }
-        }
-        for (j, &s) in post_spikes.iter().enumerate() {
-            if s > 0.0 {
-                deltas.add_into_col(j, self.nu_post, pre_traces);
             }
         }
     }
@@ -259,33 +215,6 @@ mod tests {
         let rule = PostPreStdp::paper();
         assert!((rule.nu_pre - 4.0e-4).abs() < 1e-12);
         assert!((rule.nu_post - 2.0e-4).abs() < 1e-12);
-    }
-
-    #[test]
-    fn accumulate_matches_immediate_update_for_one_step() {
-        let mut immediate = conn();
-        let frozen = conn();
-        let rule = PostPreStdp {
-            nu_pre: 0.05,
-            nu_post: 0.03,
-        };
-        let pre_s = [1.0, 0.0, 1.0];
-        let pre_t = [1.0, 0.4, 0.2];
-        let post_s = [0.0, 1.0];
-        let post_t = [0.7, 0.1];
-        rule.update(&mut immediate, &pre_s, &pre_t, &post_s, &post_t);
-        let mut deltas = crate::tensor::Matrix::zeros(3, 2);
-        rule.accumulate(&frozen, &mut deltas, &pre_s, &pre_t, &post_s, &post_t);
-        for r in 0..3 {
-            for c in 0..2 {
-                let applied = frozen.w.get(r, c) + deltas.get(r, c);
-                assert!(
-                    (applied - immediate.w.get(r, c)).abs() < 1e-6,
-                    "({r},{c}): {applied} vs {}",
-                    immediate.w.get(r, c)
-                );
-            }
-        }
     }
 
     #[test]

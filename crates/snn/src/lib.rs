@@ -20,12 +20,9 @@
 //! * [`neurons::LifLayer::threshold_scale`] — per-neuron multiplicative
 //!   threshold change (Attacks 2–5). Matching the paper's methodology,
 //!   the scale applies to the *signed biological threshold* (−52 mV
-//!   excitatory, −40 mV inhibitory), so a −20% change moves thresholds
-//!   toward 0 mV, i.e. makes neurons harder to fire. See DESIGN.md for
-//!   the polarity discussion.
-//! * [`neurons::LifLayer::input_gain`] — scales the membrane-voltage
-//!   change per incoming spike (Attack 1's `theta`, and the drive
-//!   component of Attack 5).
+//!   excitatory, −40 mV inhibitory).
+//! * [`topology::DenseConnection::gain`] — scales the input → excitatory
+//!   drive (Attack 1's `theta`, and the drive component of Attack 5).
 //!
 //! ## Quickstart
 //!
@@ -48,7 +45,6 @@ pub mod classify;
 pub mod diehl_cook;
 pub mod encoding;
 pub mod learning;
-pub mod monitor;
 pub mod neurons;
 pub mod tensor;
 pub mod topology;
@@ -57,6 +53,5 @@ pub mod trainer;
 pub use classify::{assign_labels, predict_all_activity};
 pub use diehl_cook::{DiehlCook2015, DiehlCookConfig};
 pub use encoding::PoissonEncoder;
-pub use monitor::SpikeRaster;
 pub use tensor::Matrix;
 pub use trainer::{evaluate, train, train_with_hook, TrainOptions, TrainReport};

@@ -6,13 +6,12 @@
 //! time in milliseconds, synchronous update (all layers step on the
 //! spikes of the previous step).
 //!
-//! ## Fault hooks
+//! ## Fault hook
 //!
-//! The attack models in `neurofi-core` manipulate two pieces of state:
-//! [`LifLayer::threshold_scale`] (per-neuron multiplicative threshold
-//! fault — note it scales the *signed* threshold, matching the paper's
-//! methodology; see DESIGN.md) and [`LifLayer::input_gain`] (membrane
-//! voltage change per input spike, the paper's `theta` knob of Attack 1).
+//! The threshold attacks in `neurofi-core` write
+//! [`LifLayer::threshold_scale`], a per-neuron multiplicative factor on
+//! the *signed* firing threshold, as the paper applies its sweep to
+//! BindsNET's parameters.
 
 use crate::tensor::decay;
 
@@ -92,13 +91,6 @@ pub struct LifLayer {
     /// FAULT HOOK: per-neuron multiplicative factor on the signed firing
     /// threshold (1.0 = nominal). −20% threshold change ⇒ 0.8.
     pub threshold_scale: Vec<f32>,
-    /// FAULT HOOK: scales the membrane-voltage change per unit of input
-    /// (1.0 = nominal). The paper's Attack 1 sweeps this.
-    pub input_gain: f32,
-    /// When false, the adaptive threshold is frozen (no decay, no
-    /// per-spike increment) — evaluation mode, mirroring BindsNET's
-    /// `train(False)`.
-    pub adaptation_enabled: bool,
 }
 
 impl LifLayer {
@@ -120,8 +112,6 @@ impl LifLayer {
             theta: vec![0.0; n],
             refractory_left: vec![0.0; n],
             threshold_scale: vec![1.0; n],
-            input_gain: 1.0,
-            adaptation_enabled: true,
             params,
         }
     }
@@ -149,7 +139,7 @@ impl LifLayer {
     }
 
     /// Advances the population one step with the given per-neuron input
-    /// currents (mV of membrane change per step at `input_gain = 1`).
+    /// currents (mV of membrane change per step).
     ///
     /// # Panics
     /// Panics if `input.len() != len()`.
@@ -159,7 +149,7 @@ impl LifLayer {
         // Decay stays in dedicated passes: they auto-vectorise, unlike the
         // branchy membrane loop below (refractory skips, spike resets).
         decay(&mut self.traces, self.trace_decay);
-        let adapt = p.theta_plus != 0.0 && self.adaptation_enabled;
+        let adapt = p.theta_plus != 0.0;
         if adapt {
             decay(&mut self.theta, self.theta_decay);
         }
@@ -173,8 +163,7 @@ impl LifLayer {
                 continue;
             }
             // Leak toward rest, then integrate input.
-            self.v[i] =
-                p.v_rest + (self.v[i] - p.v_rest) * self.v_decay + input[i] * self.input_gain;
+            self.v[i] = p.v_rest + (self.v[i] - p.v_rest) * self.v_decay + input[i];
             if self.v[i] >= self.effective_threshold(i) {
                 self.spikes[i] = 1.0;
                 self.traces[i] = 1.0;
@@ -197,10 +186,9 @@ impl LifLayer {
         self.refractory_left.fill(0.0);
     }
 
-    /// Clears all fault hooks back to nominal.
+    /// Clears the threshold fault back to nominal.
     pub fn clear_faults(&mut self) {
         self.threshold_scale.fill(1.0);
-        self.input_gain = 1.0;
     }
 }
 
@@ -371,24 +359,6 @@ mod tests {
         let mut boosted = layer(1);
         boosted.threshold_scale[0] = 1.2;
         assert!(boosted.effective_threshold(0) < layer(1).effective_threshold(0));
-    }
-
-    #[test]
-    fn input_gain_scales_drive() {
-        let mut weak = layer(1);
-        weak.input_gain = 0.5;
-        let mut strong = layer(1);
-        strong.input_gain = 2.0;
-        let mut strong_spiked = false;
-        for _ in 0..20 {
-            weak.step(&[1.0]);
-            strong.step(&[1.0]);
-            strong_spiked |= strong.spikes[0] > 0.0;
-        }
-        // The boosted neuron either out-depolarised the weak one or
-        // already fired (and was reset) within the window.
-        assert!(strong_spiked || strong.v[0] > weak.v[0]);
-        assert!(!strong_spiked || weak.spikes[0] == 0.0);
     }
 
     #[test]

@@ -119,8 +119,9 @@ impl Matrix {
         }
     }
 
-    /// Adds `gain * values[r]` to column `col` — the postsynaptic STDP
-    /// update (`w[:][j] += nu_post * pre_trace[:]`).
+    /// Adds `gain * values[r]` to column `col` (`w[:][j] += nu_post *
+    /// pre_trace[:]`) — the unclamped reference of
+    /// [`Matrix::add_clamped_into_col`].
     ///
     /// # Panics
     /// Panics if `values.len() != rows` or `col` is out of bounds.
@@ -130,20 +131,6 @@ impl Matrix {
         assert!(col < self.cols, "column out of bounds");
         for (r, v) in values.iter().enumerate() {
             self.data[r * self.cols + col] += gain * v;
-        }
-    }
-
-    /// Adds `gain * values[c]` to every entry of `row` — the fused form of
-    /// [`Matrix::add_into_row`] that computes the scaled delta on the fly,
-    /// so spike-driven updates need no scratch vector.
-    ///
-    /// # Panics
-    /// Panics if `values.len() != cols` or `row` is out of bounds.
-    #[inline]
-    pub fn add_scaled_into_row(&mut self, row: usize, gain: f32, values: &[f32]) {
-        assert_eq!(values.len(), self.cols, "values length mismatch");
-        for (w, v) in self.row_mut(row).iter_mut().zip(values) {
-            *w += gain * v;
         }
     }
 
@@ -278,18 +265,6 @@ mod tests {
         m.add_into_row(0, &[1.0, -2.0, 3.0]);
         assert_eq!(m.row(0), &[1.0, -2.0, 3.0]);
         assert_eq!(m.row(1), &[0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn scaled_row_update_matches_precomputed_delta() {
-        let mut fused = Matrix::zeros(2, 3);
-        let mut staged = Matrix::zeros(2, 3);
-        let values = [1.0f32, -2.0, 0.5];
-        let gain = -0.25f32;
-        fused.add_scaled_into_row(1, gain, &values);
-        let delta: Vec<f32> = values.iter().map(|v| gain * v).collect();
-        staged.add_into_row(1, &delta);
-        assert_eq!(fused, staged);
     }
 
     #[test]

@@ -19,14 +19,6 @@ pub struct TrainOptions {
     /// (`None` = all samples). Later samples reflect the converged
     /// weights better; BindsNET's online protocol uses a trailing window.
     pub assignment_window: Option<usize>,
-    /// When true, STDP updates are accumulated over
-    /// [`DiehlCookConfig::batch_size`]-sample batches and applied at batch
-    /// boundaries (the paper's batch-32 protocol). The default processes
-    /// samples sequentially with immediate updates, which trains slightly
-    /// "ahead" of the batched variant but is otherwise equivalent.
-    ///
-    /// [`DiehlCookConfig::batch_size`]: crate::diehl_cook::DiehlCookConfig::batch_size
-    pub batched: bool,
 }
 
 impl Default for TrainOptions {
@@ -37,7 +29,6 @@ impl Default for TrainOptions {
             // `update_interval = 250` samples; the converged weights make
             // late records more informative than early ones.
             assignment_window: Some(250),
-            batched: false,
         }
     }
 }
@@ -89,16 +80,7 @@ pub fn train_with_hook(
     let mut labels = Vec::with_capacity(data.len());
     let mut total_spikes = 0.0f64;
     let mut silent = 0usize;
-    let batch_size = if options.batched {
-        net.config().batch_size.max(1)
-    } else {
-        1
-    };
     for (index, (image, label)) in data.iter().enumerate() {
-        if options.batched && index % batch_size == 0 {
-            net.end_batch();
-            net.begin_batch();
-        }
         hook(index, net);
         let counts = net.run_sample(image, true);
         let sum: f32 = counts.iter().sum();
@@ -109,7 +91,6 @@ pub fn train_with_hook(
         spike_records.push(counts);
         labels.push(label);
     }
-    net.end_batch();
     let window = options
         .assignment_window
         .unwrap_or(spike_records.len())
@@ -273,62 +254,6 @@ mod tests {
         let data = neurofi_data::LabeledImages::empty(28, 28);
         let mut net = tiny_net(0);
         train(&mut net, &data, &TrainOptions::default());
-    }
-
-    #[test]
-    fn batched_training_learns_and_changes_weights() {
-        let data = SynthDigits::default().generate(64, 5);
-        let mut net = tiny_net(2);
-        let before = net.input_to_exc.w.clone();
-        let report = train(
-            &mut net,
-            &data,
-            &TrainOptions {
-                batched: true,
-                assignment_window: None,
-                ..Default::default()
-            },
-        );
-        assert_ne!(before.as_slice(), net.input_to_exc.w.as_slice());
-        assert!(report.mean_activity > 0.0);
-        // No pending batch is left open.
-        net.end_batch();
-    }
-
-    #[test]
-    fn batched_and_sequential_reach_similar_weights() {
-        // Deferred updates lag by at most one batch; over a short run the
-        // two protocols should land close to each other.
-        let data = SynthDigits::default().generate(32, 5);
-        let weights = |batched: bool| {
-            let mut net = tiny_net(2);
-            train(
-                &mut net,
-                &data,
-                &TrainOptions {
-                    batched,
-                    assignment_window: None,
-                    ..Default::default()
-                },
-            );
-            // Normalise before comparing: the batched run's final batch
-            // carries un-renormalised mass (normalisation happens at
-            // sample starts, matching BindsNET).
-            net.input_to_exc.normalize();
-            net.input_to_exc.w.clone()
-        };
-        let seq = weights(false);
-        let bat = weights(true);
-        // Individual weights diverge chaotically (winner-take-all
-        // amplifies the one-batch update lag into different winners), so
-        // the meaningful invariant is the one normalisation enforces:
-        // per-neuron incoming weight mass must match across protocols.
-        for (a, b) in seq.column_sums().iter().zip(bat.column_sums()) {
-            assert!(
-                (a - b).abs() < 0.15 * a.abs().max(1.0),
-                "column mass diverged: {a} vs {b}"
-            );
-        }
     }
 
     #[test]

@@ -63,6 +63,15 @@ impl Default for SolveOptions {
     }
 }
 
+/// Cap on the time points one transient may plan: its `tstop / dt` base
+/// steps plus every source breakpoint before `tstop`. A request over it
+/// is refused before anything is allocated. The largest transient the
+/// workspace's campaigns run, a 32-neuron layer cell (7,200 PULSE
+/// breakpoints per neuron plus 2,250 steps), plans about 2.3·10⁵
+/// points, so this leaves over 100× headroom while refusing decks whose
+/// step or PULSE period vanishes.
+pub const MAX_TRAN_POINTS: usize = 1 << 25;
+
 /// Transient analysis request.
 ///
 /// Every transient runs one fixed-step path: backward-Euler companion
@@ -139,6 +148,7 @@ struct IsrcElem {
     p: usize,
     n: usize,
     wave: Waveform,
+    name: String,
 }
 
 #[derive(Debug, Clone)]
@@ -228,10 +238,11 @@ impl Circuit {
                         name: name.clone(),
                     });
                 }
-                Element::ISource { p, n, wave, .. } => circuit.isources.push(IsrcElem {
+                Element::ISource { name, p, n, wave } => circuit.isources.push(IsrcElem {
                     p: p.index(),
                     n: n.index(),
                     wave: wave.clone(),
+                    name: name.clone(),
                 }),
                 Element::Mosfet {
                     d,
@@ -743,25 +754,66 @@ impl Circuit {
     /// Runs a transient analysis on the dense engine.
     ///
     /// # Errors
+    /// [`Error::InvalidAnalysis`] if the analysis would plan more than
+    /// [`MAX_TRAN_POINTS`] time points;
     /// [`Error::Convergence`] if a step fails even at the minimum step size;
     /// [`Error::Singular`] for structurally broken circuits.
     pub fn tran(&self, spec: &TranSpec) -> Result<TranResult> {
-        // One workspace for the whole analysis: every timestep's Newton
-        // solves (including step-halving retries) stamp into the same
-        // Jacobian/RHS buffers.
-        let mut ws = SolverWorkspace::new(self.unknown_count());
-        self.tran_impl(&mut ws, spec)
+        self.tran_with_engine(Engine::Dense, spec)
     }
 
     /// [`Circuit::tran`] on the chosen [`Engine`].
+    ///
+    /// # Errors
+    /// See [`Circuit::tran`].
     pub fn tran_with_engine(&self, engine: Engine, spec: &TranSpec) -> Result<TranResult> {
+        self.check_tran_budget(spec)?;
+        // One workspace for the whole analysis: every timestep's Newton
+        // solves (including step-halving retries) stamp into the same
+        // Jacobian/RHS buffers.
         match engine {
-            Engine::Dense => self.tran(spec),
+            Engine::Dense => {
+                let mut ws = SolverWorkspace::new(self.unknown_count());
+                self.tran_impl(&mut ws, spec)
+            }
             Engine::Sparse => {
                 let mut ws = SparseWorkspace::new(self.unknown_count());
                 self.tran_impl(&mut ws, spec)
             }
         }
+    }
+
+    /// Refuses a transient whose planned time points — base steps plus
+    /// each source's breakpoints — exceed [`MAX_TRAN_POINTS`], naming the
+    /// spec or the first source over the cap. NaN counts as over.
+    fn check_tran_budget(&self, spec: &TranSpec) -> Result<()> {
+        let over = |points: f64| points.is_nan() || points > MAX_TRAN_POINTS as f64;
+        let steps = (spec.tstop / spec.dt).ceil();
+        if over(steps) {
+            return Err(Error::InvalidAnalysis(format!(
+                "a transient to {} s at step {} s needs {steps:.3e} steps, over the \
+                 {MAX_TRAN_POINTS}-point cap",
+                spec.tstop, spec.dt
+            )));
+        }
+        let sources = self
+            .vsources
+            .iter()
+            .map(|v| (&v.name, &v.wave))
+            .chain(self.isources.iter().map(|i| (&i.name, &i.wave)));
+        let mut points = steps;
+        for (name, wave) in sources {
+            let breakpoints = wave.breakpoint_estimate(spec.tstop);
+            points += breakpoints;
+            if over(points) {
+                return Err(Error::InvalidAnalysis(format!(
+                    "source `{name}` needs {breakpoints:.3e} breakpoints before {} s, \
+                     which puts the transient over the {MAX_TRAN_POINTS}-point cap",
+                    spec.tstop
+                )));
+            }
+        }
+        Ok(())
     }
 
     fn tran_impl<S: LinearSolver>(&self, ws: &mut S, spec: &TranSpec) -> Result<TranResult> {

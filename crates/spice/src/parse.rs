@@ -646,6 +646,38 @@ mod tests {
     }
 
     #[test]
+    fn transients_over_the_point_cap_are_refused_before_running() {
+        // Each deck parses, and without the cap `tran` would never return:
+        // 1e292 PULSE cycles, 1e300 base steps, and a period too small
+        // to advance edge times near t = 1 s.
+        let decks = [
+            (
+                "t\nV1 a 0 PULSE(0 1 0 1n 1n 5n 1e-300)\nR1 a 0 1k\n.tran 1n 10n uic\n",
+                "V1",
+            ),
+            (
+                "t\nV1 in 0 DC 1\nR1 in out 1k\nC1 out 0 1n\n.tran 1e-300 1 uic\n",
+                "step",
+            ),
+            (
+                "t\nV1 a 0 PULSE(0 1 1 1n 1n 5n 1e-17)\nR1 a 0 1k\n.tran 1m 1.0000000000001 uic\n",
+                "V1",
+            ),
+        ];
+        for (text, named) in decks {
+            let deck = parse_deck(text).unwrap();
+            let spec = deck.tran.clone().unwrap();
+            match deck.netlist.compile().unwrap().tran(&spec) {
+                Err(Error::InvalidAnalysis(message)) => {
+                    assert!(message.contains(named), "{text}: {message}");
+                    assert!(message.contains("cap"), "{text}: {message}");
+                }
+                other => panic!("{text}: expected a refusal, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn duplicate_elements_error_includes_line() {
         let err = parse_deck("t\nR1 a 0 1k\nR1 a 0 2k\n").unwrap_err();
         assert!(matches!(err, Error::Parse { line: 3, .. }));

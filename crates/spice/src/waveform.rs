@@ -189,6 +189,32 @@ impl Waveform {
         }
         out
     }
+
+    /// How many breakpoints [`Waveform::breakpoints`]`(tstop)` generates,
+    /// estimated without generating them: 4 per PULSE cycle in
+    /// `[delay, tstop]`. Infinite when a PULSE period is too small to
+    /// advance its edge times at their magnitude, so the generator would
+    /// never finish.
+    pub(crate) fn breakpoint_estimate(&self, tstop: f64) -> f64 {
+        match self {
+            Waveform::Dc(_) | Waveform::Sin { .. } => 0.0,
+            Waveform::Pulse { delay, period, .. } => {
+                if !(period.is_finite() && *period > 0.0) {
+                    4.0
+                } else if *delay >= tstop {
+                    0.0
+                } else {
+                    let far = delay.abs().max(tstop.abs());
+                    if far + period > far {
+                        4.0 * ((tstop - delay) / period).ceil()
+                    } else {
+                        f64::INFINITY
+                    }
+                }
+            }
+            Waveform::Pwl(points) => points.len() as f64,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -301,5 +327,6 @@ mod tests {
         assert!(bps.contains(&8.0));
         assert!(bps.contains(&9.0));
         assert!(bps.contains(&15.0));
+        assert_eq!(w.breakpoint_estimate(20.0), bps.len() as f64);
     }
 }

@@ -3,9 +3,9 @@
 //! VDD attacks are catastrophic, the excitatory/theta attacks are mild,
 //! and the defenses restore accuracy.
 //!
-//! The full-scale numbers (paper grids, 1000 training images) live in
-//! EXPERIMENTS.md and are produced by the `repro` binary; this test keeps
-//! the whole pipeline honest in minutes.
+//! The full-scale numbers (paper grids, 1000 training images) are
+//! produced by the `repro` binary; this test keeps the whole pipeline
+//! honest in minutes.
 
 use neurofi::analog::NeuronKind;
 use neurofi::core::attacks::{
