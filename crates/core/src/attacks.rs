@@ -6,10 +6,12 @@
 //! and measure classification accuracy on a held-out set. Outcomes pair
 //! the attacked accuracy with a fault-free baseline trained identically.
 
+use std::sync::{Mutex, PoisonError};
+
 use neurofi_analog::PowerTransferTable;
 use neurofi_data::{LabeledImages, SynthDigits};
 use neurofi_snn::diehl_cook::{DiehlCook2015, DiehlCookConfig};
-use neurofi_snn::trainer::{evaluate, train, TrainOptions};
+use neurofi_snn::trainer::{evaluate, train, EncodedImages, Presentations, TrainOptions};
 
 use crate::error::Error;
 use crate::injection::{FaultPlan, TargetLayer};
@@ -91,18 +93,48 @@ impl ExperimentSetup {
         all.split(self.n_train)
     }
 
+    /// This seed's inputs: the datasets, pre-encoded when `budget` has
+    /// room for the encoded sets beside everything it already holds, and
+    /// left as raw images otherwise (each run then encodes them per
+    /// sample). Encoded sets hold their bytes on `budget` until dropped.
+    pub(crate) fn inputs(&self, budget: &'static InputBudget) -> SeedInputs {
+        let (train, test) = self.datasets();
+        let bound = EncodedImages::bytes_bound(&train, &self.network)
+            + EncodedImages::bytes_bound(&test, &self.network);
+        let Some(charge) = budget.reserve(bound) else {
+            return SeedInputs::Images { train, test };
+        };
+        SeedInputs::Encoded {
+            train: EncodedImages::for_training(&train, &self.network, self.network_seed),
+            test: EncodedImages::for_evaluation(&test, &self.network, self.network_seed),
+            _charge: charge,
+        }
+    }
+
     /// Trains a fresh network under the given fault plan and evaluates it.
     /// This is the paper's protocol: faults are active during both
-    /// training and evaluation.
+    /// training and evaluation. The datasets are generated for this run
+    /// and each image is encoded as it is presented.
     pub fn run_with_plan(&self, plan: &FaultPlan) -> RunMeasurement {
         let (train_data, test_data) = self.datasets();
+        self.run_on(&train_data, &test_data, plan)
+    }
+
+    /// [`run_with_plan`](ExperimentSetup::run_with_plan) on this seed's
+    /// train and test sets, already built.
+    pub(crate) fn run_on(
+        &self,
+        train_set: &dyn Presentations,
+        test_set: &dyn Presentations,
+        plan: &FaultPlan,
+    ) -> RunMeasurement {
         let mut net = DiehlCook2015::new(self.network.clone(), self.network_seed);
         plan.apply(&mut net);
-        let report = train(&mut net, &train_data, &self.train_options);
+        let report = train(&mut net, train_set, &self.train_options);
         let accuracy = evaluate(
             &mut net,
             &report.assignments,
-            &test_data,
+            test_set,
             self.train_options.n_classes,
         );
         RunMeasurement {
@@ -115,6 +147,99 @@ impl ExperimentSetup {
     /// Fault-free reference run.
     pub fn baseline(&self) -> RunMeasurement {
         self.run_with_plan(&FaultPlan::none())
+    }
+}
+
+/// One seed's train and test sets, built once and read by every run of
+/// the seed: no fault plan changes them, since faults act downstream of
+/// the Poisson encoder.
+#[derive(Debug)]
+pub(crate) enum SeedInputs {
+    /// Each image's input raster drawn once and replayed by every run.
+    /// The charge holds the sets' bytes on the budget they were built
+    /// under, and returns them when the sets are dropped.
+    Encoded {
+        train: EncodedImages,
+        test: EncodedImages,
+        _charge: InputCharge,
+    },
+    /// Raw images, encoded per sample by every run: inputs the budget
+    /// had no room for.
+    Images {
+        train: LabeledImages,
+        test: LabeledImages,
+    },
+}
+
+impl SeedInputs {
+    /// The train and test sets.
+    pub(crate) fn sets(&self) -> (&dyn Presentations, &dyn Presentations) {
+        match self {
+            SeedInputs::Encoded { train, test, .. } => (train, test),
+            SeedInputs::Images { train, test } => (train, test),
+        }
+    }
+
+    /// True when the sets were encoded beforehand.
+    pub(crate) fn is_encoded(&self) -> bool {
+        matches!(self, SeedInputs::Encoded { .. })
+    }
+}
+
+/// The bytes of pre-encoded inputs alive in a process, kept under a
+/// fixed limit. Every encoded [`SeedInputs`] reserves an upper bound on
+/// its size ([`EncodedImages::bytes_bound`]) before it is drawn and
+/// returns it when dropped, whether a cache memoises it or a running
+/// job holds it; inputs that do not fit are left as raw images.
+#[derive(Debug)]
+pub(crate) struct InputBudget {
+    limit: usize,
+    held: Mutex<usize>,
+}
+
+impl InputBudget {
+    /// An empty budget of `limit` bytes.
+    pub(crate) const fn new(limit: usize) -> InputBudget {
+        InputBudget {
+            limit,
+            held: Mutex::new(0),
+        }
+    }
+
+    /// Bytes reserved now.
+    #[cfg(test)]
+    pub(crate) fn held(&self) -> usize {
+        *self.held.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Reserves `bytes` if they fit beside those already held.
+    fn reserve(&'static self, bytes: usize) -> Option<InputCharge> {
+        let mut held = self.held.lock().unwrap_or_else(PoisonError::into_inner);
+        if bytes > self.limit - *held {
+            return None;
+        }
+        *held += bytes;
+        Some(InputCharge {
+            budget: self,
+            bytes,
+        })
+    }
+}
+
+/// Bytes reserved on an [`InputBudget`], returned when dropped.
+#[derive(Debug)]
+pub(crate) struct InputCharge {
+    budget: &'static InputBudget,
+    bytes: usize,
+}
+
+impl Drop for InputCharge {
+    fn drop(&mut self) {
+        *self
+            .budget
+            .held
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner) -= self.bytes;
     }
 }
 

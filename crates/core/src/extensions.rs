@@ -15,10 +15,11 @@ use rand::{Rng, SeedableRng};
 use crate::attacks::{AttackOutcome, ExperimentSetup, RunMeasurement};
 use crate::error::Error;
 use crate::injection::FaultPlan;
+use crate::sweep::PROCESS_INPUT_BUDGET;
 use crate::threat::AttackKind;
 use neurofi_analog::PowerTransferTable;
 use neurofi_snn::diehl_cook::DiehlCook2015;
-use neurofi_snn::trainer::{evaluate, train_with_hook};
+use neurofi_snn::trainer::{evaluate, train, train_with_hook};
 
 /// How synaptic weights are corrupted.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -113,19 +114,21 @@ impl WeightFaultAttack {
         net.input_to_exc.mark_weights_dirty();
     }
 
-    /// Trains cleanly, corrupts the stored weights, then evaluates.
+    /// Trains cleanly, evaluates, corrupts the stored weights, then
+    /// evaluates again on the same test rasters.
     ///
     /// # Errors
     /// Reserved; currently always succeeds.
     pub fn run(&self, setup: &ExperimentSetup) -> Result<AttackOutcome, Error> {
-        let (train_data, test_data) = setup.datasets();
+        let inputs = setup.inputs(&PROCESS_INPUT_BUDGET);
+        let (train_set, test_set) = inputs.sets();
         let mut net = DiehlCook2015::new(setup.network.clone(), setup.network_seed);
-        let report = train_with_hook(&mut net, &train_data, &setup.train_options, |_, _| {});
+        let report = train(&mut net, train_set, &setup.train_options);
         let n_classes = setup.train_options.n_classes;
-        let clean_accuracy = evaluate(&mut net, &report.assignments, &test_data, n_classes);
+        let clean_accuracy = evaluate(&mut net, &report.assignments, test_set, n_classes);
 
         self.corrupt(&mut net);
-        let attacked_accuracy = evaluate(&mut net, &report.assignments, &test_data, n_classes);
+        let attacked_accuracy = evaluate(&mut net, &report.assignments, test_set, n_classes);
         let baseline = RunMeasurement {
             accuracy: clean_accuracy,
             mean_activity: report.mean_activity,
@@ -178,17 +181,19 @@ impl TransientGlitchAttack {
     }
 
     /// Trains with the glitch applied only inside the window, then
-    /// evaluates at nominal supply.
+    /// evaluates at nominal supply. The fault-free baseline and the
+    /// glitched run read the same inputs, built once.
     ///
     /// # Errors
     /// Reserved; currently always succeeds.
     pub fn run(&self, setup: &ExperimentSetup) -> Result<AttackOutcome, Error> {
-        let baseline = setup.baseline();
-        let (train_data, test_data) = setup.datasets();
+        let inputs = setup.inputs(&PROCESS_INPUT_BUDGET);
+        let (train_set, test_set) = inputs.sets();
+        let baseline = setup.run_on(train_set, test_set, &FaultPlan::none());
         let mut net = DiehlCook2015::new(setup.network.clone(), setup.network_seed);
         let plan = FaultPlan::from_vdd(self.vdd, &self.transfer);
         let (from, to) = (self.from_sample, self.to_sample);
-        let report = train_with_hook(&mut net, &train_data, &setup.train_options, |i, net| {
+        let report = train_with_hook(&mut net, train_set, &setup.train_options, |i, net| {
             if i == from {
                 plan.apply(net);
             } else if i == to {
@@ -198,7 +203,7 @@ impl TransientGlitchAttack {
         // Ensure recovery if the window extends past the dataset.
         net.clear_faults();
         let n_classes = setup.train_options.n_classes;
-        let attacked_accuracy = evaluate(&mut net, &report.assignments, &test_data, n_classes);
+        let attacked_accuracy = evaluate(&mut net, &report.assignments, test_set, n_classes);
         Ok(AttackOutcome {
             kind: AttackKind::GlobalVdd,
             baseline_accuracy: baseline.accuracy,

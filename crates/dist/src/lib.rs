@@ -47,8 +47,9 @@
 //! * [`worker`] — executes campaign-tagged batches on the PR 1
 //!   in-process pool; campaigns over the same setup share one
 //!   [`BaselineCache`](neurofi_core::BaselineCache) per process, so
-//!   per-seed baselines are trained, and layer references simulated,
-//!   once no matter how many campaigns are queued or submitted.
+//!   per-seed baselines are trained, layer references simulated, and
+//!   per-seed inputs built once no matter how many campaigns are queued
+//!   or submitted.
 //! * [`checkpoint`] — the append-only journals (one per campaign)
 //!   interrupted runs resume from without recomputing finished cells.
 //!   A journal is a [`neurofi_store::log`], the crash-safe log the

@@ -11,7 +11,13 @@
 //! experiment) resolve to one [`BaselineCache`], so each per-seed
 //! baseline is trained, and each layer design's nominal reference
 //! simulated, at most once per process no matter how many campaigns
-//! are queued or submitted.
+//! are queued or submitted. The cache also holds each seed's inputs
+//! (labels and input spike rasters, ≈13 MiB per seed at paper scale,
+//! ≈3.4 MiB at quick scale), so no cell regenerates or re-encodes
+//! them. Every cache in the process draws on one fixed budget of
+//! [`INPUT_BUDGET_BYTES`](neurofi_core::sweep::INPUT_BUDGET_BYTES)
+//! (256 MiB). A worker keeps its caches for its lifetime, so once
+//! earlier setups fill the budget, a later setup's seeds run per sample.
 //!
 //! Results stream back in acknowledgement windows: the worker sends one
 //! [`Message::Results`] window, waits for the coordinator's

@@ -16,7 +16,7 @@
 //! excitatory neuron to the digit class it fires most for, then predicts
 //! by mean assigned-class activity.
 
-use crate::encoding::PoissonEncoder;
+use crate::encoding::{PoissonEncoder, SpikeRaster};
 use crate::learning::PostPreStdp;
 use crate::neurons::{InputLayer, LifLayer, LifParameters};
 use crate::topology::{DenseConnection, LateralInhibition, OneToOneConnection};
@@ -89,6 +89,11 @@ impl DiehlCookConfig {
             ..DiehlCookConfig::default()
         }
     }
+
+    /// Number of simulation steps per sample.
+    pub fn steps_per_sample(&self) -> usize {
+        (self.sample_time_ms / self.dt_ms).round() as usize
+    }
 }
 
 /// The instantiated network.
@@ -107,7 +112,6 @@ pub struct DiehlCook2015 {
     pub exc_to_inh: OneToOneConnection,
     /// Inhibitory → excitatory lateral competition.
     pub inh_to_exc: LateralInhibition,
-    encoder: PoissonEncoder,
     /// When false, STDP is disabled (evaluation mode).
     pub learning: bool,
     seed: u64,
@@ -119,7 +123,8 @@ pub struct DiehlCook2015 {
 }
 
 impl DiehlCook2015 {
-    /// Builds the network with seeded weight initialisation and encoding.
+    /// Builds the network with seeded weight initialisation; the seed
+    /// also fixes every presentation's Poisson input stream.
     ///
     /// # Panics
     /// Panics if the configuration is structurally invalid (zero-sized
@@ -146,7 +151,6 @@ impl DiehlCook2015 {
         .with_norm(config.norm);
         let exc_to_inh = OneToOneConnection::new(config.n_excitatory, config.exc_weight);
         let inh_to_exc = LateralInhibition::new(config.n_inhibitory, -config.inh_weight.abs());
-        let encoder = PoissonEncoder::new(config.max_rate_hz, config.dt_ms, seed ^ 0x9e37_79b9);
         let n_exc = config.n_excitatory;
         let n_inh = config.n_inhibitory;
         let n_in = config.n_input;
@@ -158,7 +162,6 @@ impl DiehlCook2015 {
             input_to_exc,
             exc_to_inh,
             inh_to_exc,
-            encoder,
             learning: true,
             seed,
             samples_seen: 0,
@@ -175,7 +178,7 @@ impl DiehlCook2015 {
 
     /// Number of simulation steps per sample.
     pub fn steps_per_sample(&self) -> usize {
-        (self.config.sample_time_ms / self.config.dt_ms).round() as usize
+        self.config.steps_per_sample()
     }
 
     /// Advances the network one step with the given input spikes
@@ -212,17 +215,50 @@ impl DiehlCook2015 {
     }
 
     /// Presents one image for `sample_time_ms`, returning the excitatory
-    /// spike count per neuron. Dynamic state resets between samples
-    /// (adaptive thresholds and learned weights persist); weights are
-    /// renormalised before the presentation when `train` is set.
+    /// spike count per neuron: draws the image's input raster for this
+    /// presentation, then [`present`](DiehlCook2015::present)s it.
     ///
     /// # Panics
     /// Panics if `image.len() != config.n_input`.
     pub fn run_sample(&mut self, image: &[u8], train: bool) -> Vec<f32> {
-        assert_eq!(
-            image.len(),
-            self.config.n_input,
-            "image size does not match the input layer"
+        let raster = PoissonEncoder::new(self.config.max_rate_hz, self.config.dt_ms, self.seed)
+            .raster(image, self.seed, self.samples_seen, self.steps_per_sample());
+        self.present(&raster, train)
+    }
+
+    /// Presents one input raster, returning the excitatory spike count
+    /// per neuron: the network's only step loop. Dynamic state resets
+    /// between samples (adaptive thresholds and learned weights
+    /// persist); weights are renormalised before the presentation when
+    /// `train` is set. The presentation advances the sample counter.
+    ///
+    /// # Panics
+    /// Panics if the raster was drawn for another input size, network
+    /// seed, sample counter or step count; the message names the field.
+    pub fn present(&mut self, raster: &SpikeRaster, train: bool) -> Vec<f32> {
+        assert!(
+            raster.n_input() == self.config.n_input,
+            "raster of {} inputs does not match the input layer of {}",
+            raster.n_input(),
+            self.config.n_input
+        );
+        assert!(
+            raster.seed() == self.seed,
+            "raster seed {} does not match the network seed {}",
+            raster.seed(),
+            self.seed
+        );
+        assert!(
+            raster.sample() == self.samples_seen,
+            "raster sample counter {} does not match the network's {}",
+            raster.sample(),
+            self.samples_seen
+        );
+        assert!(
+            raster.steps() == self.steps_per_sample(),
+            "raster step count {} does not match the network's {} steps per sample",
+            raster.steps(),
+            self.steps_per_sample()
         );
         self.learning = train;
         // Threshold adaptation stays active in both modes: the analog
@@ -235,16 +271,15 @@ impl DiehlCook2015 {
         self.input.reset_state();
         self.excitatory.reset_state();
         self.inhibitory.reset_state();
-        // Per-sample deterministic encoding stream.
-        self.encoder
-            .reseed(self.seed ^ self.samples_seen.wrapping_mul(0x2545_f491_4f6c_dd1d));
         self.samples_seen += 1;
 
-        let steps = self.steps_per_sample();
         let mut counts = vec![0.0f32; self.config.n_excitatory];
         let mut spikes = std::mem::take(&mut self.spike_buffer);
-        for _ in 0..steps {
-            self.encoder.encode_step_into(image, &mut spikes);
+        for t in 0..raster.steps() {
+            spikes.fill(0.0);
+            for &i in raster.step(t) {
+                spikes[usize::from(i)] = 1.0;
+            }
             self.step(&spikes);
             for (c, &s) in counts.iter_mut().zip(&self.excitatory.spikes) {
                 *c += s;
@@ -411,5 +446,34 @@ mod tests {
     fn rejects_wrong_image_size() {
         let mut net = quick_net(0);
         net.run_sample(&[0u8; 100], true);
+    }
+
+    /// A raster of a digit drawn for `(seed, sample)` over `steps` steps.
+    fn raster(seed: u64, sample: u64, steps: usize) -> SpikeRaster {
+        let data = SynthDigits::default().generate(1, 5);
+        PoissonEncoder::new(128.0, 1.0, seed).raster(data.image(0), seed, sample, steps)
+    }
+
+    #[test]
+    #[should_panic(expected = "raster seed 8 does not match the network seed 7")]
+    fn present_refuses_a_raster_of_another_seed() {
+        let mut net = quick_net(7);
+        let steps = net.steps_per_sample();
+        net.present(&raster(8, 0, steps), true);
+    }
+
+    #[test]
+    #[should_panic(expected = "raster sample counter 1 does not match the network's 0")]
+    fn present_refuses_a_raster_of_another_sample() {
+        let mut net = quick_net(7);
+        let steps = net.steps_per_sample();
+        net.present(&raster(7, 1, steps), true);
+    }
+
+    #[test]
+    #[should_panic(expected = "raster step count 99 does not match the network's 100")]
+    fn present_refuses_a_raster_of_another_step_count() {
+        let mut net = quick_net(7);
+        net.present(&raster(7, 0, 99), false);
     }
 }

@@ -9,8 +9,17 @@
 //!
 //! The flagship network is [`diehl_cook::DiehlCook2015`] — the unsupervised
 //! digit classifier from Diehl & Cook (2015) with the paper's
-//! configuration (784 inputs → 100 excitatory → 100 inhibitory, learning
-//! rates 4·10⁻⁴/2·10⁻⁴, one pass over 1000 images).
+//! configuration (784 inputs → 100 excitatory → 100 inhibitory, one pass
+//! over 1000 images). [`DiehlCookConfig::default`] learns at BindsNET's
+//! shipped rates, [`learning::PostPreStdp::bindsnet`] (1·10⁻⁴ pre /
+//! 1·10⁻² post), which reproduce the paper's baseline; the paper's prose
+//! rates, 4·10⁻⁴/2·10⁻⁴, are [`learning::PostPreStdp::paper`].
+//!
+//! A presentation is two steps: [`PoissonEncoder::raster`] draws the
+//! image's input spikes for `(network seed, sample counter)`, and
+//! [`DiehlCook2015::present`] replays them. Faults act downstream of the
+//! encoder, so a dataset's rasters can be drawn once
+//! ([`trainer::EncodedImages`]) and replayed by every run of that seed.
 //!
 //! ## Fault hooks (the attack surface)
 //!
@@ -52,6 +61,8 @@ pub mod trainer;
 
 pub use classify::{assign_labels, predict_all_activity};
 pub use diehl_cook::{DiehlCook2015, DiehlCookConfig};
-pub use encoding::PoissonEncoder;
+pub use encoding::{PoissonEncoder, SpikeRaster};
 pub use tensor::Matrix;
-pub use trainer::{evaluate, train, train_with_hook, TrainOptions, TrainReport};
+pub use trainer::{
+    evaluate, train, train_with_hook, EncodedImages, Presentations, TrainOptions, TrainReport,
+};

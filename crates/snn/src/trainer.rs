@@ -4,11 +4,147 @@
 //! images with STDP enabled, neuron-to-class assignment from the recorded
 //! training activity, then accuracy measurement (with learning frozen) on
 //! an evaluation set.
+//!
+//! Both loops step through [`Presentations`]: raw images, Poisson-encoded
+//! as each is presented, or an [`EncodedImages`] set whose input rasters
+//! were drawn beforehand. The two give the same bits, so a set that many
+//! runs share can be encoded once.
 
 use neurofi_data::LabeledImages;
 
 use crate::classify::{assign_labels, predict_all_activity};
-use crate::diehl_cook::DiehlCook2015;
+use crate::diehl_cook::{DiehlCook2015, DiehlCookConfig};
+use crate::encoding::{PoissonEncoder, SpikeRaster};
+
+/// The sample counter [`evaluate`] pins before its first presentation,
+/// far past any training run's counters.
+const EVALUATION_COUNTER_BASE: u64 = 1 << 32;
+
+/// A labelled sequence of samples, as the training and evaluation loops
+/// present them to a network.
+pub trait Presentations {
+    /// Number of samples.
+    fn len(&self) -> usize;
+
+    /// True when there is no sample.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Class label of sample `index`.
+    fn label(&self, index: usize) -> u8;
+
+    /// Presents sample `index` to `net` (learning when `train`) and
+    /// returns the excitatory spike count per neuron.
+    fn present(&self, index: usize, net: &mut DiehlCook2015, train: bool) -> Vec<f32>;
+}
+
+/// Raw images: each is Poisson-encoded as it is presented
+/// ([`DiehlCook2015::run_sample`]).
+impl Presentations for LabeledImages {
+    fn len(&self) -> usize {
+        LabeledImages::len(self)
+    }
+
+    fn label(&self, index: usize) -> u8 {
+        LabeledImages::label(self, index)
+    }
+
+    fn present(&self, index: usize, net: &mut DiehlCook2015, train: bool) -> Vec<f32> {
+        net.run_sample(self.image(index), train)
+    }
+}
+
+/// The labels of an image set and each image's input raster, drawn
+/// beforehand for one network seed and replayed by
+/// [`DiehlCook2015::present`]. A training set is drawn for the sample
+/// counters a freshly built network presents at (0, 1, …), an
+/// evaluation set for the counters [`evaluate`] pins; presenting either
+/// anywhere else panics.
+#[derive(Clone)]
+pub struct EncodedImages {
+    labels: Box<[u8]>,
+    rasters: Vec<SpikeRaster>,
+}
+
+impl EncodedImages {
+    /// Encodes `images` for [`train`]ing a freshly built network of
+    /// `config` and `seed`.
+    pub fn for_training(
+        images: &LabeledImages,
+        config: &DiehlCookConfig,
+        seed: u64,
+    ) -> EncodedImages {
+        EncodedImages::encode(images, config, seed, 0)
+    }
+
+    /// Encodes `images` for [`evaluate`] on a network of `config` and
+    /// `seed`.
+    pub fn for_evaluation(
+        images: &LabeledImages,
+        config: &DiehlCookConfig,
+        seed: u64,
+    ) -> EncodedImages {
+        EncodedImages::encode(images, config, seed, EVALUATION_COUNTER_BASE)
+    }
+
+    fn encode(
+        images: &LabeledImages,
+        config: &DiehlCookConfig,
+        seed: u64,
+        first_sample: u64,
+    ) -> EncodedImages {
+        let mut encoder = PoissonEncoder::new(config.max_rate_hz, config.dt_ms, seed);
+        let steps = config.steps_per_sample();
+        let rasters = (0..images.len())
+            .map(|i| encoder.raster(images.image(i), seed, first_sample + i as u64, steps))
+            .collect();
+        EncodedImages {
+            labels: images.labels().into(),
+            rasters,
+        }
+    }
+
+    /// An upper bound on the bytes an [`EncodedImages`] of `images` under
+    /// `config` occupies, computed without drawing its rasters: the
+    /// labels plus the [rasters' bound](PoissonEncoder::rasters_bytes_bound).
+    pub fn bytes_bound(images: &LabeledImages, config: &DiehlCookConfig) -> usize {
+        // The seed is irrelevant: a bound makes no draws.
+        let encoder = PoissonEncoder::new(config.max_rate_hz, config.dt_ms, 0);
+        let rasters = (0..images.len()).map(|i| images.image(i));
+        images.len() + encoder.rasters_bytes_bound(rasters, config.steps_per_sample())
+    }
+
+    /// Bytes the set occupies: its labels plus every raster.
+    pub fn bytes(&self) -> usize {
+        self.labels.len() + self.rasters.iter().map(SpikeRaster::bytes).sum::<usize>()
+    }
+}
+
+impl std::fmt::Debug for EncodedImages {
+    /// Size only: a set holds thousands of rasters.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("EncodedImages")
+            .field("len", &self.rasters.len())
+            .field("bytes", &self.bytes())
+            .finish()
+    }
+}
+
+/// Pre-drawn rasters, replayed ([`DiehlCook2015::present`]).
+impl Presentations for EncodedImages {
+    fn len(&self) -> usize {
+        self.rasters.len()
+    }
+
+    fn label(&self, index: usize) -> u8 {
+        self.labels[index]
+    }
+
+    fn present(&self, index: usize, net: &mut DiehlCook2015, train: bool) -> Vec<f32> {
+        net.present(&self.rasters[index], train)
+    }
+}
 
 /// Options for [`train`].
 #[derive(Debug, Clone, PartialEq)]
@@ -58,7 +194,11 @@ pub struct TrainReport {
 ///
 /// # Panics
 /// Panics if `data` is empty or image sizes mismatch the network.
-pub fn train(net: &mut DiehlCook2015, data: &LabeledImages, options: &TrainOptions) -> TrainReport {
+pub fn train<P: Presentations + ?Sized>(
+    net: &mut DiehlCook2015,
+    data: &P,
+    options: &TrainOptions,
+) -> TrainReport {
     train_with_hook(net, data, options, |_, _| {})
 }
 
@@ -69,9 +209,9 @@ pub fn train(net: &mut DiehlCook2015, data: &LabeledImages, options: &TrainOptio
 ///
 /// # Panics
 /// Panics if `data` is empty or image sizes mismatch the network.
-pub fn train_with_hook(
+pub fn train_with_hook<P: Presentations + ?Sized>(
     net: &mut DiehlCook2015,
-    data: &LabeledImages,
+    data: &P,
     options: &TrainOptions,
     mut hook: impl FnMut(usize, &mut DiehlCook2015),
 ) -> TrainReport {
@@ -80,16 +220,16 @@ pub fn train_with_hook(
     let mut labels = Vec::with_capacity(data.len());
     let mut total_spikes = 0.0f64;
     let mut silent = 0usize;
-    for (index, (image, label)) in data.iter().enumerate() {
+    for index in 0..data.len() {
         hook(index, net);
-        let counts = net.run_sample(image, true);
+        let counts = data.present(index, net, true);
         let sum: f32 = counts.iter().sum();
         total_spikes += sum as f64;
         if sum == 0.0 {
             silent += 1;
         }
         spike_records.push(counts);
-        labels.push(label);
+        labels.push(data.label(index));
     }
     let window = options
         .assignment_window
@@ -137,10 +277,10 @@ pub fn train_with_hook(
 ///
 /// # Panics
 /// Panics if `data` is empty or sizes mismatch.
-pub fn evaluate(
+pub fn evaluate<P: Presentations + ?Sized>(
     net: &mut DiehlCook2015,
     assignments: &[usize],
-    data: &LabeledImages,
+    data: &P,
     n_classes: usize,
 ) -> f64 {
     assert!(!data.is_empty(), "evaluation set must not be empty");
@@ -149,13 +289,13 @@ pub fn evaluate(
     // it by a varying amount), and snapshot the adaptive thresholds —
     // they keep adapting during evaluation (hardware has no test mode)
     // but must not leak across evaluations.
-    net.set_sample_counter(1 << 32);
+    net.set_sample_counter(EVALUATION_COUNTER_BASE);
     let theta_exc = net.excitatory.theta.clone();
     let theta_inh = net.inhibitory.theta.clone();
     let mut correct = 0usize;
-    for (image, label) in data.iter() {
-        let counts = net.run_sample(image, false);
-        if predict_all_activity(&counts, assignments, n_classes) == label as usize {
+    for index in 0..data.len() {
+        let counts = data.present(index, net, false);
+        if predict_all_activity(&counts, assignments, n_classes) == data.label(index) as usize {
             correct += 1;
         }
     }
@@ -236,6 +376,35 @@ mod tests {
         let a = evaluate(&mut net, &report.assignments, &data, 10);
         let b = evaluate(&mut net, &report.assignments, &data, 10);
         assert_eq!(a, b, "evaluation must be deterministic per network");
+    }
+
+    #[test]
+    fn encoded_sets_replay_the_per_sample_path_bit_for_bit() {
+        let gen = SynthDigits::default();
+        let (train_data, test_data) = (gen.generate(12, 3), gen.generate(6, 4));
+        let run = |train_set: &dyn Presentations, test_set: &dyn Presentations| {
+            let mut net = tiny_net(1);
+            let report = train(&mut net, train_set, &TrainOptions::default());
+            let accuracy = evaluate(&mut net, &report.assignments, test_set, 10);
+            let again = evaluate(&mut net, &report.assignments, test_set, 10);
+            assert_eq!(accuracy.to_bits(), again.to_bits());
+            (report.spike_records, accuracy.to_bits(), net.input_to_exc.w)
+        };
+        let config = tiny_net(1).config().clone();
+        let train_set = EncodedImages::for_training(&train_data, &config, 1);
+        let test_set = EncodedImages::for_evaluation(&test_data, &config, 1);
+        let (raw, encoded) = (run(&train_data, &test_data), run(&train_set, &test_set));
+        assert_eq!(raw.0, encoded.0);
+        assert_eq!(raw.1, encoded.1);
+        assert_eq!(raw.2.as_slice(), encoded.2.as_slice());
+        // The bound sizes a set before drawing it, and not loosely.
+        for (images, set) in [(&train_data, &train_set), (&test_data, &test_set)] {
+            let (bound, actual) = (EncodedImages::bytes_bound(images, &config), set.bytes());
+            assert!(
+                actual <= bound && bound < actual + actual / 4,
+                "{actual} vs {bound}"
+            );
+        }
     }
 
     #[test]
