@@ -382,23 +382,6 @@ impl VoltageAmplifierIf {
         )))
     }
 
-    /// Renders the complete test bench (neuron + supply + stimulus) as a
-    /// SPICE deck for inspection or external simulation.
-    ///
-    /// # Errors
-    /// Propagates netlist construction errors.
-    pub fn export_deck(&self, vdd: f64, input: &InputSpec) -> Result<String> {
-        let mut net = Netlist::new();
-        let nodes = self.build(&mut net, "vif", vdd)?;
-        net.vsource("VDD", nodes.vdd, Netlist::GROUND, Waveform::Dc(vdd))?;
-        net.isource("IIN", Netlist::GROUND, nodes.mem, input.waveform())?;
-        Ok(neurofi_spice::export::to_deck(
-            "voltage-amplifier i&f neuron (paper fig. 2b)",
-            &net,
-            Some(&TranSpec::new(700.0e-6, 50.0e-9).with_uic()),
-        ))
-    }
-
     /// Mean firing period (membrane-threshold crossings) under the given
     /// stimulus; simulates long enough for at least two spikes.
     ///

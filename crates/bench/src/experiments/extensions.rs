@@ -3,7 +3,9 @@
 //! paper reference column — they extend the study.
 
 use neurofi_core::attacks::ExperimentSetup;
-use neurofi_core::extensions::{glitch_duty_sweep, WeightFaultAttack, WeightFaultKind};
+use neurofi_core::extensions::{
+    glitch_duty_sweep, weight_fault_sweep, WeightFaultAttack, WeightFaultKind,
+};
 use neurofi_core::{Error, Table};
 
 use super::Fidelity;
@@ -58,10 +60,8 @@ pub fn weight_faults(fidelity: Fidelity) -> Result<Table, Error> {
         Fidelity::Quick => vec![0.05, 0.5],
         Fidelity::Full => vec![0.01, 0.05, 0.10, 0.25, 0.50],
     };
-    let mut table = Table::new(
-        "Extension — synaptic-weight fault injection (post-training)",
-        &["fault", "fraction", "accuracy", "vs clean"],
-    );
+    let mut rows = Vec::new();
+    let mut attacks = Vec::new();
     for &fraction in &fractions {
         for (label, kind) in [
             (
@@ -73,14 +73,22 @@ pub fn weight_faults(fidelity: Fidelity) -> Result<Table, Error> {
                 WeightFaultKind::StuckAtMax { fraction, seed: 7 },
             ),
         ] {
-            let outcome = WeightFaultAttack::new(kind).run(&setup)?;
-            table.push_row(&[
-                label.into(),
-                format!("{:.0}%", fraction * 100.0),
-                format!("{:.1}%", outcome.attacked_accuracy * 100.0),
-                format!("{:+.1}%", outcome.relative_change_percent()),
-            ]);
+            rows.push((label, fraction));
+            attacks.push(WeightFaultAttack::new(kind));
         }
+    }
+    let outcomes = weight_fault_sweep(&setup, &attacks)?;
+    let mut table = Table::new(
+        "Extension — synaptic-weight fault injection (post-training)",
+        &["fault", "fraction", "accuracy", "vs clean"],
+    );
+    for ((label, fraction), outcome) in rows.into_iter().zip(&outcomes) {
+        table.push_row(&[
+            label.into(),
+            format!("{:.0}%", fraction * 100.0),
+            format!("{:.1}%", outcome.attacked_accuracy * 100.0),
+            format!("{:+.1}%", outcome.relative_change_percent()),
+        ]);
     }
     table.push_note(
         "beyond the paper (§IV-E(b)): the network is trained cleanly, then the \

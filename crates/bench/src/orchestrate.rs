@@ -89,7 +89,7 @@ fn store_usage() -> &'static str {
 
 fn work_usage() -> &'static str {
     "usage: repro work --connect HOST:PORT [--threads N] [--max-cells K] \
-     [--batch N] [--ack-window N] [--retry N] [--backoff MS]\n\
+     [--retry N] [--backoff MS]\n\
      --retry N  give up after N consecutive failed dials/sessions \
      (default 4; a completed handshake resets the count, so a long-lived \
      worker rides through any number of separated link flaps; a worker \
@@ -259,8 +259,6 @@ pub fn work_main(args: &[String]) -> ExitCode {
     let mut connect: Option<String> = None;
     let mut parallelism = Parallelism::Auto;
     let mut max_cells: Option<usize> = None;
-    let mut batch: Option<usize> = None;
-    let mut ack_window: Option<usize> = None;
     let mut retries: Option<u32> = None;
     let mut backoff: Option<u64> = None;
 
@@ -290,20 +288,6 @@ pub fn work_main(args: &[String]) -> ExitCode {
                 Ok(v) => max_cells = Some(v),
                 Err(e) => return usage_error(&e, work_usage()),
             },
-            "--batch" => match take("--batch").and_then(|v| {
-                v.parse::<usize>()
-                    .map_err(|_| format!("bad batch size `{v}`"))
-            }) {
-                Ok(v) => batch = Some(v),
-                Err(e) => return usage_error(&e, work_usage()),
-            },
-            "--ack-window" => match take("--ack-window").and_then(|v| {
-                v.parse::<usize>()
-                    .map_err(|_| format!("bad ack window `{v}`"))
-            }) {
-                Ok(v) => ack_window = Some(v),
-                Err(e) => return usage_error(&e, work_usage()),
-            },
             "--retry" => match take("--retry").and_then(|v| {
                 v.parse::<u32>()
                     .map_err(|_| format!("bad retry count `{v}`"))
@@ -331,10 +315,6 @@ pub fn work_main(args: &[String]) -> ExitCode {
     let mut config = WorkerConfig::new(connect);
     config.parallelism = parallelism;
     config.max_cells = max_cells;
-    config.batch = batch;
-    if let Some(window) = ack_window {
-        config.ack_window = window;
-    }
     if let Some(retries) = retries {
         config.retry.max_retries = retries;
     }

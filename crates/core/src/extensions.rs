@@ -19,7 +19,7 @@ use crate::sweep::PROCESS_INPUT_BUDGET;
 use crate::threat::AttackKind;
 use neurofi_analog::PowerTransferTable;
 use neurofi_snn::diehl_cook::DiehlCook2015;
-use neurofi_snn::trainer::{evaluate, train, train_with_hook};
+use neurofi_snn::trainer::{evaluate, train, train_with_hook, Presentations};
 
 /// How synaptic weights are corrupted.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -120,21 +120,38 @@ impl WeightFaultAttack {
     /// # Errors
     /// Reserved; currently always succeeds.
     pub fn run(&self, setup: &ExperimentSetup) -> Result<AttackOutcome, Error> {
-        let inputs = setup.inputs(&PROCESS_INPUT_BUDGET);
-        let (train_set, test_set) = inputs.sets();
-        let mut net = DiehlCook2015::new(setup.network.clone(), setup.network_seed);
-        let report = train(&mut net, train_set, &setup.train_options);
-        let n_classes = setup.train_options.n_classes;
-        let clean_accuracy = evaluate(&mut net, &report.assignments, test_set, n_classes);
+        let outcomes = weight_fault_sweep(setup, std::slice::from_ref(self))?;
+        Ok(outcomes.into_iter().next().expect("one outcome per attack"))
+    }
+}
 
-        self.corrupt(&mut net);
-        let attacked_accuracy = evaluate(&mut net, &report.assignments, test_set, n_classes);
-        let baseline = RunMeasurement {
-            accuracy: clean_accuracy,
-            mean_activity: report.mean_activity,
-            silent_fraction: report.silent_fraction,
-        };
-        Ok(AttackOutcome {
+/// Runs every attack against one cleanly trained network: trains and
+/// evaluates it once, then corrupts and evaluates a copy per attack.
+/// Each copy starts from the state just after the clean evaluation, so
+/// an outcome does not depend on which other attacks run beside it.
+///
+/// # Errors
+/// Reserved; currently always succeeds.
+pub fn weight_fault_sweep(
+    setup: &ExperimentSetup,
+    attacks: &[WeightFaultAttack],
+) -> Result<Vec<AttackOutcome>, Error> {
+    let inputs = setup.inputs(&PROCESS_INPUT_BUDGET);
+    let (train_set, test_set) = inputs.sets();
+    let mut net = DiehlCook2015::new(setup.network.clone(), setup.network_seed);
+    let report = train(&mut net, train_set, &setup.train_options);
+    let n_classes = setup.train_options.n_classes;
+    let clean_accuracy = evaluate(&mut net, &report.assignments, test_set, n_classes);
+    let baseline = RunMeasurement {
+        accuracy: clean_accuracy,
+        mean_activity: report.mean_activity,
+        silent_fraction: report.silent_fraction,
+    };
+    let outcome = |attack: &WeightFaultAttack| {
+        let mut corrupted = net.clone();
+        attack.corrupt(&mut corrupted);
+        let attacked_accuracy = evaluate(&mut corrupted, &report.assignments, test_set, n_classes);
+        AttackOutcome {
             kind: AttackKind::InputSpikeCorruption, // nearest taxonomy entry
             baseline_accuracy: clean_accuracy,
             attacked_accuracy,
@@ -144,8 +161,9 @@ impl WeightFaultAttack {
                 ..baseline
             },
             plan: FaultPlan::none(),
-        })
-    }
+        }
+    };
+    Ok(attacks.iter().map(outcome).collect())
 }
 
 /// Extension attack: a *transient* supply glitch — the VDD fault is
@@ -190,6 +208,25 @@ impl TransientGlitchAttack {
         let inputs = setup.inputs(&PROCESS_INPUT_BUDGET);
         let (train_set, test_set) = inputs.sets();
         let baseline = setup.run_on(train_set, test_set, &FaultPlan::none());
+        let (attacked, plan) = self.run_on(setup, train_set, test_set);
+        Ok(AttackOutcome {
+            kind: AttackKind::GlobalVdd,
+            baseline_accuracy: baseline.accuracy,
+            attacked_accuracy: attacked.accuracy,
+            baseline,
+            attacked,
+            plan,
+        })
+    }
+
+    /// The glitched training and nominal-supply evaluation on this seed's
+    /// sets, already built; returns the run and the glitch's fault plan.
+    fn run_on(
+        &self,
+        setup: &ExperimentSetup,
+        train_set: &dyn Presentations,
+        test_set: &dyn Presentations,
+    ) -> (RunMeasurement, FaultPlan) {
         let mut net = DiehlCook2015::new(setup.network.clone(), setup.network_seed);
         let plan = FaultPlan::from_vdd(self.vdd, &self.transfer);
         let (from, to) = (self.from_sample, self.to_sample);
@@ -203,19 +240,13 @@ impl TransientGlitchAttack {
         // Ensure recovery if the window extends past the dataset.
         net.clear_faults();
         let n_classes = setup.train_options.n_classes;
-        let attacked_accuracy = evaluate(&mut net, &report.assignments, test_set, n_classes);
-        Ok(AttackOutcome {
-            kind: AttackKind::GlobalVdd,
-            baseline_accuracy: baseline.accuracy,
-            attacked_accuracy,
-            baseline,
-            attacked: RunMeasurement {
-                accuracy: attacked_accuracy,
-                mean_activity: report.mean_activity,
-                silent_fraction: report.silent_fraction,
-            },
-            plan,
-        })
+        let accuracy = evaluate(&mut net, &report.assignments, test_set, n_classes);
+        let attacked = RunMeasurement {
+            accuracy,
+            mean_activity: report.mean_activity,
+            silent_fraction: report.silent_fraction,
+        };
+        (attacked, plan)
     }
 
     /// Fraction of training samples under the glitch for a dataset of
@@ -236,7 +267,10 @@ impl TransientGlitchAttack {
 /// duty at the same VDD — the natural question a glitch-rig adversary
 /// asks ("how long must the glitch last?").
 ///
-/// Returns `(duty, accuracy)` rows including duty 1.0 (persistent).
+/// Returns `(duty, accuracy)` rows including duty 1.0 (persistent). The
+/// seed's inputs are built once; a duty that rounds to no glitched
+/// sample reads the fault-free baseline, trained at most once, and every
+/// other duty trains only its glitched network.
 ///
 /// # Errors
 /// Propagates experiment failures.
@@ -245,15 +279,20 @@ pub fn glitch_duty_sweep(
     vdd: f64,
     duties: &[f64],
 ) -> Result<Vec<(f64, f64)>, Error> {
+    let inputs = setup.inputs(&PROCESS_INPUT_BUDGET);
+    let (train_set, test_set) = inputs.sets();
+    let mut baseline = None;
     let mut rows = Vec::new();
     for &duty in duties {
         assert!((0.0..=1.0).contains(&duty), "duty must be within [0, 1]");
         let to = ((setup.n_train as f64) * duty).round() as usize;
         let accuracy = if to == 0 {
-            setup.baseline().accuracy
+            baseline
+                .get_or_insert_with(|| setup.run_on(train_set, test_set, &FaultPlan::none()))
+                .accuracy
         } else {
             let attack = TransientGlitchAttack::new(vdd, 0, to);
-            attack.run(setup)?.attacked_accuracy
+            attack.run_on(setup, train_set, test_set).0.accuracy
         };
         rows.push((duty, accuracy));
     }
@@ -316,11 +355,42 @@ mod tests {
     }
 
     #[test]
-    fn glitch_duty_zero_is_baseline() {
+    fn weight_fault_sweep_equals_per_attack_runs() {
         let setup = tiny_setup();
-        let rows = glitch_duty_sweep(&setup, 0.8, &[0.0]).unwrap();
-        let baseline = setup.baseline().accuracy;
-        assert_eq!(rows[0].1, baseline);
+        // A copy per attack: zeroing every weight first must not leak
+        // into the second attack.
+        let attacks = [
+            WeightFaultAttack::new(WeightFaultKind::StuckAtZero {
+                fraction: 1.0,
+                seed: 7,
+            }),
+            WeightFaultAttack::new(WeightFaultKind::StuckAtMax {
+                fraction: 0.05,
+                seed: 7,
+            }),
+        ];
+        let swept = weight_fault_sweep(&setup, &attacks).unwrap();
+        assert_eq!(swept.len(), attacks.len());
+        for (attack, outcome) in attacks.iter().zip(&swept) {
+            let alone = attack.run(&setup).unwrap();
+            assert_eq!(outcome.baseline, alone.baseline);
+            assert_eq!(outcome.attacked, alone.attacked);
+        }
+        assert_ne!(swept[0].attacked, swept[1].attacked);
+    }
+
+    #[test]
+    fn glitch_duty_sweep_equals_per_duty_runs() {
+        let setup = tiny_setup();
+        let rows = glitch_duty_sweep(&setup, 0.8, &[0.0, 0.3, 1.0]).unwrap();
+        let glitched = |to| {
+            let attack = TransientGlitchAttack::new(0.8, 0, to);
+            attack.run(&setup).unwrap().attacked_accuracy
+        };
+        let expected = [setup.baseline().accuracy, glitched(30), glitched(100)];
+        for ((_, accuracy), expected) in rows.iter().zip(expected) {
+            assert_eq!(accuracy.to_bits(), expected.to_bits());
+        }
     }
 
     #[test]

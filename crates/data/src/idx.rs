@@ -2,9 +2,10 @@
 //!
 //! The format is four big-endian header fields followed by raw data:
 //! magic `0x00000803` for 3-D image tensors, `0x00000801` for 1-D label
-//! vectors. If you have the real MNIST files, set `NEUROFI_MNIST_DIR` and
-//! use [`load_mnist_dir`]; everything downstream consumes the same
-//! [`LabeledImages`] container as the synthetic generator.
+//! vectors. If you have the real MNIST files, [`load_mnist_dir`] returns
+//! them as train and test [`LabeledImages`], the container the synthetic
+//! generator fills, to pass to `neurofi_snn::trainer::{train, evaluate}`.
+//! The experiments, sweeps and benchmark use the synthetic generator.
 
 use std::fmt;
 use std::fs;
@@ -136,8 +137,8 @@ pub fn load_pair(images_path: &Path, labels_path: &Path) -> Result<LabeledImages
 /// `train-images-idx3-ubyte`, `train-labels-idx1-ubyte`,
 /// `t10k-images-idx3-ubyte`, `t10k-labels-idx1-ubyte`.
 ///
-/// Returns `None` when the directory or any file is missing (callers fall
-/// back to [`crate::synth::SynthDigits`]).
+/// Returns `None` when the directory or any file is missing, so a caller
+/// can fall back to [`crate::synth::SynthDigits`].
 ///
 /// # Errors
 /// Propagates format errors when the files exist but are corrupt.

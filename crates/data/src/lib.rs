@@ -10,10 +10,11 @@
 //! needs: a separable, 10-class image distribution for rate-coded spiking
 //! classification.
 //!
-//! If you have real MNIST as IDX files, point `NEUROFI_MNIST_DIR` at the
-//! directory containing `train-images-idx3-ubyte` etc. and use
-//! [`idx::load_mnist_dir`]; every consumer in this workspace accepts either
-//! source through the common [`dataset::LabeledImages`] container.
+//! The experiments, sweeps and benchmark all use SynthDigits. If you have
+//! real MNIST as IDX files, [`idx::load_mnist_dir`] reads the directory
+//! holding `train-images-idx3-ubyte` etc. and returns train and test
+//! [`dataset::LabeledImages`] sets, which you pass to
+//! `neurofi_snn::trainer::{train, evaluate}` yourself.
 //!
 //! ```
 //! use neurofi_data::synth::SynthDigits;

@@ -70,8 +70,8 @@ use crate::transport::{Connection, TcpConnection};
 use crate::wire::{Message, PROTOCOL_VERSION};
 use crate::{DistError, RetryPolicy};
 
-/// Default acknowledgement-window size (cells per unacknowledged
-/// `Results` frame).
+/// Acknowledgement-window size: cells per unacknowledged `Results`
+/// frame, and so the most cells a killed worker can lose.
 pub const DEFAULT_ACK_WINDOW: usize = 32;
 
 /// How a worker connects and executes.
@@ -85,14 +85,10 @@ pub struct WorkerConfig {
     pub parallelism: Parallelism,
     /// Stop after executing this many cells and disconnect without
     /// ceremony — deliberate preemption (spot instances, tests of the
-    /// coordinator's requeue path). `None` runs to completion.
+    /// coordinator's requeue path). `None` runs to completion. It also
+    /// caps each request; otherwise the coordinator sizes batches from
+    /// the reported thread width.
     pub max_cells: Option<usize>,
-    /// Hard cap on cells requested per batch. `None` (the default) lets
-    /// the coordinator size batches from the reported thread width.
-    pub batch: Option<usize>,
-    /// Cells per acknowledgement window when streaming results (0 is
-    /// treated as 1).
-    pub ack_window: usize,
     /// Socket timeout for coordinator replies (scheduling and ack
     /// replies are immediate — the coordinator heartbeats empty batches
     /// while work is in flight elsewhere — so this guards against a
@@ -111,8 +107,6 @@ impl WorkerConfig {
             connect: connect.into(),
             parallelism: Parallelism::Auto,
             max_cells: None,
-            batch: None,
-            ack_window: DEFAULT_ACK_WINDOW,
             io_timeout: Duration::from_secs(60),
             retry: RetryPolicy::default(),
         }
@@ -376,8 +370,6 @@ fn worker_session<C: Connection>(
     };
     let mut pending: Vec<(u32, NamedCampaign)> = Vec::new();
 
-    let batch_cap = config.batch.unwrap_or(u32::MAX as usize).max(1);
-    let ack_window = config.ack_window.max(1);
     loop {
         let budget = match config.max_cells {
             Some(max) => {
@@ -385,9 +377,9 @@ fn worker_session<C: Connection>(
                     // Preemption: vanish, exactly like a killed process.
                     return SessionEnd::Budget;
                 }
-                (max - *executed).min(batch_cap)
+                max - *executed
             }
-            None => batch_cap,
+            None => usize::MAX,
         };
         if let Err(e) = conn.send(&Message::Request {
             max_cells: budget.min(u32::MAX as usize) as u32,
@@ -436,7 +428,7 @@ fn worker_session<C: Connection>(
 
         // Execute and stream the batch in acknowledgement windows; each
         // window is journaled by the coordinator before it is acked.
-        for window in jobs.chunks(ack_window) {
+        for window in jobs.chunks(DEFAULT_ACK_WINDOW) {
             let measured = run_indexed(window.len(), config.parallelism, |i| {
                 execute_cell(
                     cache,

@@ -68,8 +68,8 @@ impl Default for SolveOptions {
 /// is refused before anything is allocated. The largest transient the
 /// workspace's campaigns run, a 32-neuron layer cell (7,200 PULSE
 /// breakpoints per neuron plus 2,250 steps), plans about 2.3·10⁵
-/// points, so this leaves over 100× headroom while refusing decks whose
-/// step or PULSE period vanishes.
+/// points, so this leaves over 100× headroom while refusing transients
+/// whose step or PULSE period vanishes.
 pub const MAX_TRAN_POINTS: usize = 1 << 25;
 
 /// Transient analysis request.
@@ -1408,5 +1408,43 @@ mod tests {
         // With default gmin it is fine (b pinned to ground).
         let op = net.compile().unwrap().op(&Default::default()).unwrap();
         assert_eq!(op.voltage(b), 0.0);
+    }
+
+    #[test]
+    fn transients_over_the_point_cap_are_refused_before_running() {
+        // Without the cap `tran` would never return: 1e292 PULSE cycles,
+        // 1e300 base steps, and a period too small to advance edge times
+        // near t = 1 s.
+        let pulse = |delay: f64, period: f64| Waveform::Pulse {
+            v1: 0.0,
+            v2: 1.0,
+            delay,
+            rise: 1.0 * NANO,
+            fall: 1.0 * NANO,
+            width: 5.0 * NANO,
+            period,
+        };
+        let cases = [
+            (pulse(0.0, 1e-300), TranSpec::new(10.0 * NANO, NANO), "V1"),
+            (Waveform::Dc(1.0), TranSpec::new(1.0, 1e-300), "step"),
+            (
+                pulse(1.0, 1e-17),
+                TranSpec::new(1.0000000000001, 1e-3),
+                "V1",
+            ),
+        ];
+        for (wave, spec, named) in cases {
+            let mut net = Netlist::new();
+            let a = net.node("a");
+            net.vsource("V1", a, Netlist::GROUND, wave.clone()).unwrap();
+            net.resistor("R1", a, Netlist::GROUND, 1.0e3).unwrap();
+            match net.compile().unwrap().tran(&spec.clone().with_uic()) {
+                Err(Error::InvalidAnalysis(message)) => {
+                    assert!(message.contains(named), "{wave:?} {spec:?}: {message}");
+                    assert!(message.contains("cap"), "{wave:?} {spec:?}: {message}");
+                }
+                other => panic!("{wave:?} {spec:?}: expected a refusal, got {other:?}"),
+            }
+        }
     }
 }

@@ -1,4 +1,4 @@
-//! Error types for circuit construction, parsing and simulation.
+//! Error types for circuit construction and simulation.
 
 use std::fmt;
 
@@ -23,13 +23,6 @@ pub enum Error {
         /// Index of the pivot row where elimination broke down.
         row: usize,
     },
-    /// Text netlist could not be parsed.
-    Parse {
-        /// 1-based line number in the source deck.
-        line: usize,
-        /// Description of the problem.
-        message: String,
-    },
     /// An analysis was requested with invalid parameters (e.g. negative
     /// stop time).
     InvalidAnalysis(String),
@@ -48,9 +41,6 @@ impl fmt::Display for Error {
             ),
             Error::Singular { row } => {
                 write!(f, "singular MNA matrix at pivot row {row} (floating node?)")
-            }
-            Error::Parse { line, message } => {
-                write!(f, "parse error at line {line}: {message}")
             }
             Error::InvalidAnalysis(msg) => write!(f, "invalid analysis request: {msg}"),
         }
@@ -96,14 +86,5 @@ mod tests {
         };
         assert!(e.to_string().contains("transient step"));
         assert!(e.to_string().contains("50"));
-    }
-
-    #[test]
-    fn parse_display_mentions_line() {
-        let e = Error::Parse {
-            line: 42,
-            message: "unknown card".into(),
-        };
-        assert!(e.to_string().contains("42"));
     }
 }

@@ -26,8 +26,9 @@
 //!   analytic derivatives (crucial for the slow membrane-voltage ramps of
 //!   integrate-and-fire neurons, which sweep straight through the inverter
 //!   transition region).
-//! * A **SPICE-subset netlist parser** ([`parse`]) and waveform sources
-//!   (DC / PULSE / PWL / SIN).
+//! * **Programmatic netlists** ([`Netlist`]), through which every
+//!   circuit in the workspace is built, and waveform sources
+//!   ([`Waveform`]: DC and PULSE).
 //! * **Measurement helpers** ([`measure`]): spike detection, threshold
 //!   crossings, period extraction, averages — the quantities the paper
 //!   reports.
@@ -61,7 +62,6 @@
 //! | [`waveform`] | time-dependent source values |
 //! | [`circuit`] | compiled circuit, DC and transient engines |
 //! | [`mna`] | dense matrix + LU solver |
-//! | [`parse`] | SPICE-subset text netlist parser |
 //! | [`measure`] | waveform measurement utilities |
 //! | [`units`] | engineering-notation helpers |
 
@@ -71,11 +71,9 @@
 pub mod circuit;
 pub mod device;
 pub mod error;
-pub mod export;
 pub mod measure;
 pub mod mna;
 pub mod netlist;
-pub mod parse;
 pub mod units;
 pub mod waveform;
 

@@ -1,6 +1,6 @@
 //! Circuit description: nodes, elements, and the builder API.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::circuit::Circuit;
 use crate::device::MosModel;
@@ -175,10 +175,10 @@ impl Element {
 /// [C-BUILDER]: https://rust-lang.github.io/api-guidelines/type-safety.html#c-builder
 #[derive(Debug, Clone, Default)]
 pub struct Netlist {
-    node_names: Vec<String>,
+    node_count: usize,
     name_to_node: BTreeMap<String, NodeId>,
     elements: Vec<Element>,
-    element_names: BTreeMap<String, usize>,
+    element_names: BTreeSet<String>,
 }
 
 impl Netlist {
@@ -188,10 +188,10 @@ impl Netlist {
     /// Creates an empty netlist containing only the ground node.
     pub fn new() -> Netlist {
         let mut nl = Netlist {
-            node_names: vec!["0".to_string()],
+            node_count: 1,
             name_to_node: BTreeMap::new(),
             elements: Vec::new(),
-            element_names: BTreeMap::new(),
+            element_names: BTreeSet::new(),
         };
         nl.name_to_node.insert("0".into(), NodeId(0));
         nl.name_to_node.insert("gnd".into(), NodeId(0));
@@ -205,35 +205,15 @@ impl Netlist {
         if let Some(id) = self.name_to_node.get(&key) {
             return *id;
         }
-        let id = NodeId(self.node_names.len());
-        self.node_names.push(key.clone());
+        let id = NodeId(self.node_count);
+        self.node_count += 1;
         self.name_to_node.insert(key, id);
         id
     }
 
-    /// Creates a fresh anonymous internal node (useful for subcircuit
-    /// builders that must not collide with user node names).
-    pub fn internal_node(&mut self, hint: &str) -> NodeId {
-        let name = format!("_{}_{}", hint, self.node_names.len());
-        self.node(&name)
-    }
-
-    /// Looks up a node by name without creating it.
-    pub fn find_node(&self, name: &str) -> Option<NodeId> {
-        self.name_to_node.get(&name.to_ascii_lowercase()).copied()
-    }
-
-    /// Name of a node.
-    ///
-    /// # Panics
-    /// Panics if `id` did not come from this netlist.
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.node_names[id.0]
-    }
-
     /// Number of nodes including ground.
     pub fn node_count(&self) -> usize {
-        self.node_names.len()
+        self.node_count
     }
 
     /// The elements added so far, in insertion order.
@@ -241,25 +221,17 @@ impl Netlist {
         &self.elements
     }
 
-    /// Finds an element by name.
-    pub fn find_element(&self, name: &str) -> Option<&Element> {
-        self.element_names
-            .get(&name.to_ascii_lowercase())
-            .map(|idx| &self.elements[*idx])
-    }
-
     fn push(&mut self, element: Element) -> Result<&mut Netlist> {
         let key = element.name().to_ascii_lowercase();
         if key.is_empty() {
             return Err(Error::Netlist("element name must not be empty".into()));
         }
-        if self.element_names.contains_key(&key) {
+        if !self.element_names.insert(key) {
             return Err(Error::Netlist(format!(
                 "duplicate element name '{}'",
                 element.name()
             )));
         }
-        self.element_names.insert(key, self.elements.len());
         self.elements.push(element);
         Ok(self)
     }
@@ -446,25 +418,6 @@ impl Netlist {
         })
     }
 
-    /// Replaces the waveform of an existing V or I source (used by sweep
-    /// drivers to re-run the same circuit at different supply voltages).
-    ///
-    /// # Errors
-    /// Returns [`Error::Netlist`] if no source with that name exists.
-    pub fn set_source(&mut self, name: &str, wave: Waveform) -> Result<()> {
-        let idx = *self
-            .element_names
-            .get(&name.to_ascii_lowercase())
-            .ok_or_else(|| Error::Netlist(format!("no element named '{name}'")))?;
-        match &mut self.elements[idx] {
-            Element::VSource { wave: w, .. } | Element::ISource { wave: w, .. } => {
-                *w = wave;
-                Ok(())
-            }
-            _ => Err(Error::Netlist(format!("element '{name}' is not a source"))),
-        }
-    }
-
     /// Compiles into a simulatable [`Circuit`], assigning MNA unknowns.
     ///
     /// # Errors
@@ -498,14 +451,6 @@ mod tests {
     }
 
     #[test]
-    fn internal_nodes_are_unique() {
-        let mut nl = Netlist::new();
-        let a = nl.internal_node("x");
-        let b = nl.internal_node("x");
-        assert_ne!(a, b);
-    }
-
-    #[test]
     fn duplicate_element_names_rejected() {
         let mut nl = Netlist::new();
         let a = nl.node("a");
@@ -533,37 +478,5 @@ mod tests {
                 1.0
             )
             .is_err());
-    }
-
-    #[test]
-    fn find_element_is_case_insensitive() {
-        let mut nl = Netlist::new();
-        let a = nl.node("a");
-        nl.capacitor("Cmem", a, Netlist::GROUND, 1.0e-12).unwrap();
-        assert!(nl.find_element("cmem").is_some());
-        assert!(nl.find_element("CMEM").is_some());
-        assert!(nl.find_element("nope").is_none());
-    }
-
-    #[test]
-    fn set_source_replaces_waveform() {
-        let mut nl = Netlist::new();
-        let a = nl.node("a");
-        nl.vsource("V1", a, Netlist::GROUND, Waveform::Dc(1.0))
-            .unwrap();
-        nl.set_source("v1", Waveform::Dc(2.0)).unwrap();
-        match nl.find_element("V1").unwrap() {
-            Element::VSource { wave, .. } => assert_eq!(*wave, Waveform::Dc(2.0)),
-            _ => panic!("wrong element kind"),
-        }
-        assert!(nl.set_source("missing", Waveform::Dc(0.0)).is_err());
-    }
-
-    #[test]
-    fn set_source_rejects_non_sources() {
-        let mut nl = Netlist::new();
-        let a = nl.node("a");
-        nl.resistor("R1", a, Netlist::GROUND, 1.0).unwrap();
-        assert!(nl.set_source("R1", Waveform::Dc(0.0)).is_err());
     }
 }

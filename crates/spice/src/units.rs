@@ -32,62 +32,6 @@ pub const TERA: f64 = 1.0e12;
 /// Thermal voltage kT/q at room temperature (300 K), in volts.
 pub const VT_ROOM: f64 = 0.025852;
 
-/// Parses a SPICE-style number with an optional engineering suffix.
-///
-/// Supported suffixes (case-insensitive): `f p n u m k meg g t`, plus
-/// `mil` is deliberately unsupported (it is a length, not a scale). Any
-/// trailing unit letters after the suffix are ignored, as in SPICE
-/// (`10pF` == `10p`). Returns `None` if the mantissa does not parse.
-///
-/// ```
-/// use neurofi_spice::units::parse_spice_number;
-/// assert_eq!(parse_spice_number("2.5k"), Some(2.5e3));
-/// assert_eq!(parse_spice_number("100n"), Some(100.0 * 1.0e-9));
-/// assert_eq!(parse_spice_number("3meg"), Some(3.0e6));
-/// assert_eq!(parse_spice_number("10pF"), Some(10.0e-12));
-/// assert_eq!(parse_spice_number("1e-9"), Some(1.0e-9));
-/// assert_eq!(parse_spice_number("volts"), None);
-/// ```
-pub fn parse_spice_number(text: &str) -> Option<f64> {
-    let t = text.trim();
-    if t.is_empty() {
-        return None;
-    }
-    // Longest prefix that parses as a plain float.
-    let mut split = 0usize;
-    for (idx, _) in t.char_indices().chain(std::iter::once((t.len(), ' '))) {
-        if idx == 0 {
-            continue;
-        }
-        if t.get(..idx).is_some_and(|p| p.parse::<f64>().is_ok()) {
-            split = idx;
-        }
-    }
-    if split == 0 {
-        return None;
-    }
-    let mantissa: f64 = t.get(..split)?.parse().ok()?;
-    let suffix = t.get(split..)?.to_ascii_lowercase();
-    let scale = if suffix.starts_with("meg") {
-        MEGA
-    } else {
-        match suffix.chars().next() {
-            None => 1.0,
-            Some('f') => FEMTO,
-            Some('p') => PICO,
-            Some('n') => NANO,
-            Some('u') => MICRO,
-            Some('m') => MILLI,
-            Some('k') => KILO,
-            Some('g') => GIGA,
-            Some('t') => TERA,
-            // Unknown letter: treat as a unit annotation (e.g. "10V").
-            Some(_) => 1.0,
-        }
-    };
-    Some(mantissa * scale)
-}
-
 /// Formats a value with an engineering suffix for human-readable reports.
 ///
 /// ```
@@ -126,55 +70,6 @@ pub fn format_si(value: f64, unit: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_plain_numbers() {
-        assert_eq!(parse_spice_number("1.5"), Some(1.5));
-        assert_eq!(parse_spice_number("-3"), Some(-3.0));
-        assert_eq!(parse_spice_number("2e3"), Some(2000.0));
-    }
-
-    #[test]
-    fn parses_all_suffixes() {
-        let cases = [
-            ("1f", 1e-15),
-            ("1p", 1e-12),
-            ("1n", 1e-9),
-            ("1u", 1e-6),
-            ("1m", 1e-3),
-            ("1k", 1e3),
-            ("1meg", 1e6),
-            ("1g", 1e9),
-            ("1t", 1e12),
-        ];
-        for (text, expect) in cases {
-            let got = parse_spice_number(text).unwrap();
-            assert!(
-                (got - expect).abs() <= 1e-20 + 1e-12 * expect.abs(),
-                "{text}: {got} != {expect}"
-            );
-        }
-    }
-
-    #[test]
-    fn meg_is_not_milli() {
-        assert_eq!(parse_spice_number("2MEG"), Some(2.0e6));
-        assert_eq!(parse_spice_number("2M"), Some(2.0e-3));
-    }
-
-    #[test]
-    fn trailing_units_ignored() {
-        assert_eq!(parse_spice_number("10pF"), Some(10.0e-12));
-        assert_eq!(parse_spice_number("5V"), Some(5.0));
-        assert_eq!(parse_spice_number("1kOhm"), Some(1.0e3));
-    }
-
-    #[test]
-    fn garbage_is_rejected_gracefully() {
-        assert_eq!(parse_spice_number(""), None);
-        assert_eq!(parse_spice_number("abc"), None);
-        assert_eq!(parse_spice_number("--1"), None);
-    }
 
     #[test]
     fn format_si_covers_ranges() {

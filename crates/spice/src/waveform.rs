@@ -2,9 +2,8 @@
 
 /// A source waveform, evaluated lazily at each transient time point.
 ///
-/// Mirrors the SPICE source syntax the paper's test benches need: constant
-/// bias rails (`Dc`), the spike trains driving the neurons (`Pulse`),
-/// arbitrary piecewise-linear stimuli (`Pwl`) and sinusoids (`Sin`).
+/// The two source shapes the paper's test benches need: constant bias
+/// rails (`Dc`) and the spike trains driving the neurons (`Pulse`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum Waveform {
     /// Constant value (volts or amperes).
@@ -26,23 +25,6 @@ pub enum Waveform {
         width: f64,
         /// Repetition period; `f64::INFINITY` for a single pulse.
         period: f64,
-    },
-    /// Piecewise-linear waveform through the given `(time, value)` points.
-    /// Holds the first value before the first point and the last value after
-    /// the last point.
-    Pwl(Vec<(f64, f64)>),
-    /// Damped sinusoid, identical to SPICE `SIN(offset ampl freq delay damping)`.
-    Sin {
-        /// DC offset.
-        offset: f64,
-        /// Amplitude.
-        ampl: f64,
-        /// Frequency in hertz.
-        freq: f64,
-        /// Start delay in seconds.
-        delay: f64,
-        /// Exponential damping factor in 1/seconds.
-        damping: f64,
     },
 }
 
@@ -103,45 +85,6 @@ impl Waveform {
                     *v1
                 }
             }
-            Waveform::Pwl(points) => {
-                let (Some(&(t_first, v_first)), Some(&(_, v_last))) =
-                    (points.first(), points.last())
-                else {
-                    return 0.0;
-                };
-                if t <= t_first {
-                    return v_first;
-                }
-                for pair in points.windows(2) {
-                    let &[(t0, v0), (t1, v1)] = pair else {
-                        continue;
-                    };
-                    if t <= t1 {
-                        if t1 <= t0 {
-                            return v1;
-                        }
-                        return v0 + (v1 - v0) * (t - t0) / (t1 - t0);
-                    }
-                }
-                v_last
-            }
-            Waveform::Sin {
-                offset,
-                ampl,
-                freq,
-                delay,
-                damping,
-            } => {
-                if t < *delay {
-                    *offset
-                } else {
-                    let tau = t - delay;
-                    offset
-                        + ampl
-                            * (-damping * tau).exp()
-                            * (2.0 * std::f64::consts::PI * freq * tau).sin()
-                }
-            }
         }
     }
 
@@ -151,7 +94,7 @@ impl Waveform {
     pub fn breakpoints(&self, tstop: f64) -> Vec<f64> {
         let mut out = Vec::new();
         match self {
-            Waveform::Dc(_) | Waveform::Sin { .. } => {}
+            Waveform::Dc(_) => {}
             Waveform::Pulse {
                 delay,
                 rise,
@@ -183,9 +126,6 @@ impl Waveform {
                     }
                 }
             }
-            Waveform::Pwl(points) => {
-                out.extend(points.iter().map(|p| p.0).filter(|t| *t <= tstop));
-            }
         }
         out
     }
@@ -197,7 +137,7 @@ impl Waveform {
     /// never finish.
     pub(crate) fn breakpoint_estimate(&self, tstop: f64) -> f64 {
         match self {
-            Waveform::Dc(_) | Waveform::Sin { .. } => 0.0,
+            Waveform::Dc(_) => 0.0,
             Waveform::Pulse { delay, period, .. } => {
                 if !(period.is_finite() && *period > 0.0) {
                     4.0
@@ -212,7 +152,6 @@ impl Waveform {
                     }
                 }
             }
-            Waveform::Pwl(points) => points.len() as f64,
         }
     }
 }
@@ -261,33 +200,6 @@ mod tests {
         };
         assert_eq!(w.value(1.5), 1.0);
         assert_eq!(w.value(100.0), 0.0);
-    }
-
-    #[test]
-    fn pwl_interpolates_and_clamps() {
-        let w = Waveform::Pwl(vec![(1.0, 0.0), (2.0, 10.0), (4.0, -10.0)]);
-        assert_eq!(w.value(0.0), 0.0); // clamp before
-        assert_eq!(w.value(1.5), 5.0);
-        assert_eq!(w.value(3.0), 0.0);
-        assert_eq!(w.value(9.0), -10.0); // clamp after
-    }
-
-    #[test]
-    fn pwl_empty_is_zero() {
-        assert_eq!(Waveform::Pwl(vec![]).value(1.0), 0.0);
-    }
-
-    #[test]
-    fn sin_basics() {
-        let w = Waveform::Sin {
-            offset: 1.0,
-            ampl: 2.0,
-            freq: 1.0,
-            delay: 0.0,
-            damping: 0.0,
-        };
-        assert!((w.value(0.25) - 3.0).abs() < 1e-9);
-        assert!((w.value(0.75) + 1.0).abs() < 1e-9);
     }
 
     #[test]

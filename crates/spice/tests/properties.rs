@@ -6,7 +6,6 @@ use proptest::prelude::*;
 
 use neurofi_spice::device::MosModel;
 use neurofi_spice::mna::DenseMatrix;
-use neurofi_spice::units::parse_spice_number;
 use neurofi_spice::{Engine, Netlist, TranSpec, Waveform};
 
 proptest! {
@@ -78,24 +77,6 @@ proptest! {
         let e = m.eval(1.0e-6, 65.0e-9, vg, vds.max(0.0) + vds.min(0.0), 0.0, 0.0);
         // id and vds share sign (or id == 0).
         prop_assert!(e.id * vds >= -1e-18, "id {} vs vds {}", e.id, vds);
-    }
-
-    /// Engineering-notation parsing accepts what it prints (scale suffix
-    /// round trip through a known grid).
-    #[test]
-    fn spice_number_suffix_scaling(mantissa in 0.001f64..999.0) {
-        for (suffix, scale) in [
-            ("f", 1e-15), ("p", 1e-12), ("n", 1e-9), ("u", 1e-6),
-            ("m", 1e-3), ("k", 1e3), ("meg", 1e6), ("g", 1e9),
-        ] {
-            let text = format!("{mantissa}{suffix}");
-            let parsed = parse_spice_number(&text).unwrap();
-            let expect = mantissa * scale;
-            prop_assert!(
-                ((parsed - expect) / expect).abs() < 1e-12,
-                "{text} -> {parsed} != {expect}"
-            );
-        }
     }
 
     /// RC step responses match the analytic exponential for random R and

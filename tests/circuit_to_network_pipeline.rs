@@ -4,6 +4,7 @@
 
 use neurofi::analog::characterize::measured_transfer_table;
 use neurofi::core::{FaultPlan, PowerTransferTable};
+use neurofi::spice::{Netlist, TranSpec, Waveform};
 
 #[test]
 fn measured_transfer_table_matches_paper_nominal_shape() {
@@ -53,21 +54,26 @@ fn circuit_measured_fault_plan_is_close_to_paper_plan() {
 }
 
 #[test]
-fn spice_deck_runs_through_the_facade() {
-    // The text-netlist path: parse, compile, simulate, measure.
-    let deck = neurofi::spice::parse::parse_deck(
-        "integrator bench\n\
-         IIN 0 mem PULSE(0 200n 0 1n 1n 10n 25n)\n\
-         CMEM mem 0 1p\n\
-         .tran 2n 5u uic\n\
-         .end\n",
-    )
-    .unwrap();
-    let spec = deck.tran.clone().unwrap();
-    let result = deck.netlist.compile().unwrap().tran(&spec).unwrap();
-    let mem = deck.netlist.find_node("mem").unwrap();
-    let v = result.voltage(mem);
-    let v_end = *v.last().unwrap();
+fn spice_circuit_runs_through_the_facade() {
+    // The circuit path: build, compile, simulate, measure. A
+    // PULSE(0 200n 0 1n 1n 10n 25n) current integrates onto 1 pF.
+    let mut net = Netlist::new();
+    let mem = net.node("mem");
+    let spikes = Waveform::Pulse {
+        v1: 0.0,
+        v2: 200.0e-9,
+        delay: 0.0,
+        rise: 1.0e-9,
+        fall: 1.0e-9,
+        width: 10.0e-9,
+        period: 25.0e-9,
+    };
+    net.isource("IIN", Netlist::GROUND, mem, spikes).unwrap();
+    net.capacitor("CMEM", mem, Netlist::GROUND, 1.0e-12)
+        .unwrap();
+    let spec = TranSpec::new(5.0e-6, 2.0e-9).with_uic();
+    let result = net.compile().unwrap().tran(&spec).unwrap();
+    let v_end = *result.voltage(mem).last().unwrap();
     // Average current 200nA·(12/25 duty incl. edges) on 1 pF for 5 µs
     // ≈ 0.44 V; accept a broad band (edge shapes vary).
     assert!(
