@@ -25,11 +25,6 @@ use crate::transfer::PowerTransferTable;
 use crate::vamp_if::VoltageAmplifierIf;
 use crate::NeuronKind;
 
-/// The VDD grid used throughout the paper's sweeps: 0.8 to 1.2 V.
-pub fn paper_vdd_grid() -> Vec<f64> {
-    vec![0.8, 0.9, 1.0, 1.1, 1.2]
-}
-
 /// The input-amplitude grid implied by Fig. 5b/5c: the driver outputs at
 /// the paper's VDD grid (136…264 nA).
 pub fn paper_amplitude_grid() -> Vec<f64> {
@@ -274,7 +269,6 @@ mod tests {
 
     #[test]
     fn grids_are_sane() {
-        assert_eq!(paper_vdd_grid().len(), 5);
         assert_eq!(paper_amplitude_grid().len(), 5);
         assert!((paper_amplitude_grid()[2] - 200.0e-9).abs() < 1e-15);
     }

@@ -14,7 +14,7 @@ use neurofi_spice::device::MosModel;
 use neurofi_spice::error::Result;
 use neurofi_spice::units::{MEGA, MICRO, NANO};
 use neurofi_spice::waveform::Waveform;
-use neurofi_spice::{Netlist, NodeId, SolveOptions, TranSpec};
+use neurofi_spice::{Netlist, NodeId, SolveOptions};
 
 use crate::bandgap::BandgapReference;
 
@@ -165,64 +165,6 @@ impl CurrentDriver {
         // neuron), so only the VDD branch counts as driver power.
         Ok(op.source_current("VDD").unwrap_or(0.0).abs() * vdd)
     }
-
-    /// Transient output-current waveform with a pulsed control input,
-    /// demonstrating spike gating. Returns `(times, i_out)` where `i_out`
-    /// is the current sunk from the output terminal.
-    ///
-    /// # Errors
-    /// Propagates solver failures.
-    pub fn output_waveform(
-        &self,
-        vdd: f64,
-        ctrl: Waveform,
-        tstop: f64,
-        dt: f64,
-    ) -> Result<(Vec<f64>, Vec<f64>)> {
-        let mut net = Netlist::new();
-        let nodes = self.build(&mut net, "drv")?;
-        net.vsource("VDD", nodes.vdd, Netlist::GROUND, Waveform::Dc(vdd))?;
-        net.vsource("VCTL", nodes.ctrl, Netlist::GROUND, ctrl)?;
-        net.vsource(
-            "VOUT",
-            nodes.out,
-            Netlist::GROUND,
-            Waveform::Dc(self.out_bias),
-        )?;
-        let res = net.compile()?.tran(&TranSpec::new(tstop, dt))?;
-        let i: Vec<f64> = res
-            .source_current("VOUT")
-            .unwrap()
-            .into_iter()
-            .map(f64::abs)
-            .collect();
-        Ok((res.times().to_vec(), i))
-    }
-
-    /// Returns a copy with `r1` re-solved (by bisection) so that the output
-    /// amplitude at VDD = 1 V equals `target` amperes.
-    ///
-    /// # Errors
-    /// Propagates solver failures from the underlying operating points.
-    ///
-    /// # Panics
-    /// Panics if `target` is not positive.
-    pub fn calibrated(mut self, target: f64) -> Result<CurrentDriver> {
-        assert!(target > 0.0, "target current must be positive");
-        let (mut lo, mut hi) = (0.2 * MEGA, 20.0 * MEGA);
-        for _ in 0..60 {
-            let mid = 0.5 * (lo + hi);
-            self.r1 = mid;
-            let amp = self.output_amplitude(1.0)?;
-            // Larger R1 => smaller current.
-            if amp > target {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
-        Ok(self)
-    }
 }
 
 /// The robust op-amp current driver (paper Fig. 9b defense).
@@ -365,6 +307,7 @@ impl RobustCurrentDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use neurofi_spice::TranSpec;
 
     #[test]
     fn nominal_amplitude_near_200na() {
@@ -420,20 +363,32 @@ mod tests {
     #[test]
     fn transient_pulses_are_gated() {
         let drv = CurrentDriver::default();
+        let mut net = Netlist::new();
+        let nodes = drv.build(&mut net, "drv").unwrap();
         let ctrl = Waveform::spike_train(1.0, 25.0e-9, 50.0e-9, 10.0e-9);
-        let (t, i) = drv.output_waveform(1.0, ctrl, 200.0e-9, 1.0e-9).unwrap();
+        net.vsource("VDD", nodes.vdd, Netlist::GROUND, Waveform::Dc(1.0))
+            .unwrap();
+        net.vsource("VCTL", nodes.ctrl, Netlist::GROUND, ctrl)
+            .unwrap();
+        net.vsource("VOUT", nodes.out, Netlist::GROUND, Waveform::Dc(0.5))
+            .unwrap();
+        let res = net
+            .compile()
+            .unwrap()
+            .tran(&TranSpec::new(200.0e-9, 1.0e-9))
+            .unwrap();
+        let t = res.times();
+        let i: Vec<f64> = res
+            .source_current("VOUT")
+            .unwrap()
+            .into_iter()
+            .map(f64::abs)
+            .collect();
         let peak = neurofi_spice::measure::maximum(&i);
         assert!(peak > 150.0e-9, "peak {peak:.2e}");
         // Before the first pulse the output is quiet.
-        let early = neurofi_spice::measure::average_in(&t, &i, 0.0, 8.0e-9).unwrap();
+        let early = neurofi_spice::measure::average_in(t, &i, 0.0, 8.0e-9).unwrap();
         assert!(early < 10.0e-9);
-    }
-
-    #[test]
-    fn calibration_hits_target() {
-        let drv = CurrentDriver::default().calibrated(150.0e-9).unwrap();
-        let amp = drv.output_amplitude(1.0).unwrap();
-        assert!((amp - 150.0e-9).abs() < 2.0e-9, "calibrated {amp:.3e}");
     }
 
     #[test]

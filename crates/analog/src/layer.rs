@@ -37,8 +37,8 @@ pub struct LayerNetlist {
     pub r_rail: f64,
     /// Local decoupling capacitance at each neuron's supply tap, farads.
     pub c_decap: f64,
-    /// Base input stimulus; per-neuron waveforms are derived from it
-    /// (see [`LayerNetlist::input_waveform`]).
+    /// Base input stimulus; each neuron's waveform scales its amplitude
+    /// by [`input_spread`](Self::input_spread) and staggers its phase.
     pub input: InputSpec,
     /// Deterministic per-neuron input-amplitude spread, as a fraction
     /// of the base amplitude (neuron 0 gets `1 - spread`, the last
@@ -67,8 +67,6 @@ pub struct LayerResponse {
     pub neurons: usize,
     /// External supply voltage, volts.
     pub vdd: f64,
-    /// Simulated window, seconds.
-    pub duration: f64,
     /// Output spikes per neuron, in layer order.
     pub spike_counts: Vec<usize>,
     /// Smallest voltage seen at the far-end supply tap, volts — the
@@ -87,20 +85,6 @@ impl LayerResponse {
     /// Mean output spikes per neuron over the window.
     pub fn mean_spikes_per_neuron(&self) -> f64 {
         self.total_spikes() as f64 / self.neurons.max(1) as f64
-    }
-
-    /// Mean per-neuron firing rate, hertz.
-    pub fn mean_rate_hz(&self) -> f64 {
-        if self.duration > 0.0 {
-            self.mean_spikes_per_neuron() / self.duration
-        } else {
-            0.0
-        }
-    }
-
-    /// Worst-case supply droop at the far end of the rail, volts.
-    pub fn worst_droop(&self) -> f64 {
-        self.vdd - self.min_rail_voltage
     }
 }
 
@@ -138,7 +122,7 @@ impl LayerNetlist {
     /// The input waveform of neuron `i`: the base stimulus with a
     /// deterministic amplitude spread across the layer and a sub-period
     /// phase stagger, so instances fire out of lockstep.
-    pub fn input_waveform(&self, i: usize) -> Waveform {
+    fn input_waveform(&self, i: usize) -> Waveform {
         let span = (self.neurons.saturating_sub(1)).max(1) as f64;
         let frac = i as f64 / span;
         let amplitude = self.input.amplitude * (1.0 + self.input_spread * (2.0 * frac - 1.0));
@@ -209,7 +193,6 @@ impl LayerNetlist {
         Ok(LayerResponse {
             neurons: self.neurons,
             vdd: self.vdd,
-            duration: tstop,
             spike_counts,
             min_rail_voltage: measure::minimum(&far_tap),
             stats: *res.stats(),
@@ -258,7 +241,7 @@ mod tests {
         );
         // The rail is resistive, so the far tap must sag below VDD but
         // stay a working supply.
-        let droop = resp.worst_droop();
+        let droop = resp.vdd - resp.min_rail_voltage;
         assert!(droop > 0.0 && droop < 0.2, "droop {droop}");
         // The sparse engine really ran: pattern reused across Newton.
         assert!(resp.stats.solver.refactorizations > 0, "{:?}", resp.stats);

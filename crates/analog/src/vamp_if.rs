@@ -105,13 +105,6 @@ pub struct VampIfNodes {
 }
 
 impl VoltageAmplifierIf {
-    /// Returns a copy using a bandgap-referenced threshold (§V-B defense).
-    #[must_use]
-    pub fn with_bandgap_threshold(mut self) -> VoltageAmplifierIf {
-        self.threshold_source = ThresholdSource::Bandgap(BandgapReference::new(0.5));
-        self
-    }
-
     /// Adds the neuron to `net`; inject input current into the returned
     /// `mem` node and drive the `vdd` rail externally.
     ///
@@ -435,7 +428,10 @@ mod tests {
 
     #[test]
     fn bandgap_threshold_is_vdd_insensitive() {
-        let neuron = VoltageAmplifierIf::default().with_bandgap_threshold();
+        let neuron = VoltageAmplifierIf {
+            threshold_source: ThresholdSource::Bandgap(BandgapReference::new(0.5)),
+            ..VoltageAmplifierIf::default()
+        };
         let nominal = neuron.threshold(1.0).unwrap();
         let low = neuron.threshold(0.8).unwrap();
         let pct = (low - nominal) / nominal * 100.0;

@@ -4,7 +4,7 @@
 //! an always-on service), `repro work` (join as a worker), `repro
 //! submit` (enqueue a campaign on a *running* coordinator), `repro
 //! status` (query a running coordinator's per-campaign progress over
-//! the v5 control plane), and `repro store` (offline stat/compact of
+//! the control plane), and `repro store` (offline stat/compact of
 //! the content-addressed result store).
 //!
 //! All return a process exit code and print human-oriented progress to
@@ -191,7 +191,7 @@ pub(crate) fn sweep_table(name: &str, sweep: &SweepResult, spec: &CampaignSpec) 
 /// Bit-level comparison of two sweep results — the golden-merge check
 /// behind `--verify-serial`. Pure so the divergence detection itself is
 /// testable without training runs.
-pub fn diff_sweeps(serial: &SweepResult, merged: &SweepResult) -> Result<(), String> {
+fn diff_sweeps(serial: &SweepResult, merged: &SweepResult) -> Result<(), String> {
     if serial.baseline_accuracy.to_bits() != merged.baseline_accuracy.to_bits() {
         return Err(format!(
             "baseline accuracy diverged: serial {:?} vs distributed {:?}",

@@ -212,17 +212,18 @@ fn sweep_usage() -> String {
     format!(
         "usage: repro sweep (--preset NAME | --spec FILE | --attack FAMILY --axis \
          NAME=VALUES...) [--seeds LIST] [--setup bench|quick|paper] [--setup-seed N] \
-         [--transfer paper|POINTS] [--serial] [--out DIR]\n\
+         [--transfer paper|POINTS] [--serial] [--name NAME] [--out DIR]\n\
          presets: {}\n\
          attacks: {}\n\
-         axes: rel_change fraction theta_change vdd layer polarity seed defense detector\n\
+         axes: {}\n\
          values: a comma list (-0.2,0.2 — reals take a % suffix), a linear range \
          (start..end/count), or for seed an inclusive integer range (1..8)\n\
          Runs the scenario locally on the in-process pool; --serial forces the \
          single-thread path. A vdd axis without --transfer uses the paper-nominal \
-         table.",
+         table. --name renames the campaign in the table and in sweep.NAME.csv.",
         NAMED_CAMPAIGNS.join(" "),
         AttackFamily::ALL.map(AttackFamily::name).join(" "),
+        AxisKind::ALL.map(AxisKind::name).join(" "),
     )
 }
 
@@ -333,6 +334,19 @@ mod tests {
             assert!(taken, "{flag} must belong to the spec grammar");
         }
         spec_args.build("fallback")
+    }
+
+    #[test]
+    fn usage_lists_every_axis_and_the_name_flag() {
+        let usage = sweep_usage();
+        let axes: Vec<&str> = usage
+            .lines()
+            .find_map(|line| line.strip_prefix("axes: "))
+            .expect("usage lists the axes")
+            .split(' ')
+            .collect();
+        assert_eq!(axes, AxisKind::ALL.map(AxisKind::name));
+        assert!(usage.contains("[--name NAME]"), "{usage}");
     }
 
     #[test]

@@ -280,11 +280,6 @@ impl AttackOutcome {
         }
         (self.attacked_accuracy - self.baseline_accuracy) / self.baseline_accuracy * 100.0
     }
-
-    /// Absolute accuracy change in percentage points.
-    pub fn absolute_change_points(&self) -> f64 {
-        (self.attacked_accuracy - self.baseline_accuracy) * 100.0
-    }
 }
 
 /// Common interface of the five attacks.
@@ -586,7 +581,6 @@ mod tests {
             plan: FaultPlan::none(),
         };
         assert!((outcome.relative_change_percent() + 85.0).abs() < 1e-9);
-        assert!((outcome.absolute_change_points() + 68.0).abs() < 1e-9);
     }
 
     #[test]

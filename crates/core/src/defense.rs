@@ -82,7 +82,7 @@ impl Defense {
 
     /// Applies the defense to one transfer point, returning the hardened
     /// point.
-    pub fn harden(&self, point: TransferPoint) -> TransferPoint {
+    fn harden(&self, point: TransferPoint) -> TransferPoint {
         let bandgap = BandgapReference::new(0.5);
         let residual_scale = bandgap.output(point.vdd) / 0.5;
         match self {

@@ -58,20 +58,6 @@ impl DummyNeuronDetector {
         })
     }
 
-    /// Adjusts the detection tolerance.
-    ///
-    /// # Errors
-    /// [`Error::Invalid`] when `tolerance` is not positive and finite.
-    pub fn with_tolerance(mut self, tolerance: f64) -> Result<DummyNeuronDetector, Error> {
-        if !(tolerance.is_finite() && tolerance > 0.0) {
-            return Err(Error::Invalid(format!(
-                "tolerance must be positive, got {tolerance}"
-            )));
-        }
-        self.tolerance = tolerance;
-        Ok(self)
-    }
-
     /// Enrolls a detector from a dummy-neuron VDD characterisation series
     /// (`(vdd, count)` pairs): the baseline is the count at the nominal
     /// supply `vdd_nominal`.
@@ -246,25 +232,12 @@ mod tests {
     }
 
     #[test]
-    fn custom_tolerance() {
-        let d = DummyNeuronDetector::new(1000.0)
-            .unwrap()
-            .with_tolerance(0.03)
-            .unwrap();
-        assert!(d.is_attack(1050.0));
-    }
-
-    #[test]
     fn rejects_bad_baselines_and_tolerances() {
         // Degenerate enrollment data is a recoverable error, never a
         // panic — the values arrive from characterisation runs.
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             let err = DummyNeuronDetector::new(bad).unwrap_err().to_string();
             assert!(err.contains("positive"), "diagnostic names the rule: {err}");
-        }
-        let d = DummyNeuronDetector::new(1000.0).unwrap();
-        for bad in [0.0, -0.1, f64::NAN] {
-            assert!(d.with_tolerance(bad).is_err());
         }
     }
 

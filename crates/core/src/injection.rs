@@ -187,14 +187,6 @@ impl FaultPlan {
             net.input_to_exc.gain = drive.scale as f32;
         }
     }
-
-    /// True when the plan changes nothing.
-    pub fn is_noop(&self) -> bool {
-        self.thresholds
-            .iter()
-            .all(|t| t.rel_change == 0.0 || t.fraction == 0.0)
-            && self.drive.is_none_or(|d| d.scale == 1.0)
-    }
 }
 
 #[cfg(test)]
@@ -259,15 +251,10 @@ mod tests {
         assert_eq!(plan.thresholds.len(), 2);
         assert!((plan.thresholds[0].rel_change + 0.1801).abs() < 1e-9);
         assert!((plan.drive.unwrap().scale - 0.68).abs() < 1e-12);
-        // Nominal VDD is a no-op.
-        assert!(FaultPlan::from_vdd(1.0, &table).is_noop());
-    }
-
-    #[test]
-    fn noop_detection() {
-        assert!(FaultPlan::none().is_noop());
-        assert!(FaultPlan::layer_threshold(TargetLayer::Excitatory, 0.0, 1.0).is_noop());
-        assert!(!FaultPlan::drive_only(0.8).is_noop());
+        // Nominal VDD changes no threshold and leaves the drive at 1.
+        let nominal = FaultPlan::from_vdd(1.0, &table);
+        assert!(nominal.thresholds.iter().all(|t| t.rel_change == 0.0));
+        assert_eq!(nominal.drive.map(|d| d.scale), Some(1.0));
     }
 
     #[test]

@@ -3,9 +3,8 @@
 //! The primary contribution of *"Analysis of Power-Oriented Fault
 //! Injection Attacks on Spiking Neural Networks"* (DATE 2022), in Rust:
 //!
-//! * [`threat`] — the threat-model taxonomy (§I, §III-A): black-box vs
-//!   white-box access, the three power-domain scenarios, and the five
-//!   attack models.
+//! * [`threat`] — the five attack models (§IV), of which only Attack 5
+//!   needs no more than black-box access (§I).
 //! * [`injection`] — [`FaultPlan`]: translates a threat (which layer,
 //!   what fraction of neurons, how much threshold/drive corruption) into
 //!   concrete state changes on a [`neurofi_snn::DiehlCook2015`] network.
@@ -79,4 +78,4 @@ pub use sweep::{
     cell_countermeasures, BaselineCache, CellAttack, CellCountermeasures, CellJob, CellResult,
     Parallelism, SweepCell, SweepPlan, SweepResult,
 };
-pub use threat::{AccessLevel, AttackKind, PowerDomainScenario};
+pub use threat::AttackKind;

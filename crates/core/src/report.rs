@@ -44,15 +44,6 @@ impl Table {
         self.rows.push(cells.to_vec());
     }
 
-    /// Appends a row of displayable values.
-    ///
-    /// # Panics
-    /// Panics if the cell count differs from the header count.
-    pub fn push_display_row(&mut self, cells: &[&dyn fmt::Display]) {
-        let rendered: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.push_row(&rendered);
-    }
-
     /// Appends a note line.
     pub fn push_note(&mut self, note: impl Into<String>) {
         self.notes.push(note.into());
@@ -127,11 +118,6 @@ pub fn percent(value: f64) -> String {
     format!("{:.1}%", value * 100.0)
 }
 
-/// Formats a signed percent change with two decimals.
-pub fn signed_percent(value: f64) -> String {
-    format!("{value:+.2}%")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,13 +148,6 @@ mod tests {
     }
 
     #[test]
-    fn display_rows() {
-        let mut t = Table::new("x", &["n", "v"]);
-        t.push_display_row(&[&3usize, &1.5f64]);
-        assert_eq!(t.rows[0], vec!["3", "1.5"]);
-    }
-
-    #[test]
     #[should_panic(expected = "row width")]
     fn rejects_ragged_rows() {
         let mut t = Table::new("x", &["a", "b"]);
@@ -178,8 +157,6 @@ mod tests {
     #[test]
     fn helpers() {
         assert_eq!(percent(0.7592), "75.9%");
-        assert_eq!(signed_percent(-85.65), "-85.65%");
-        assert_eq!(signed_percent(3.2), "+3.20%");
     }
 
     #[test]

@@ -376,7 +376,7 @@ impl AxisValues {
     }
 
     /// The real values, when this is a real axis.
-    pub fn reals(&self) -> Option<&[f64]> {
+    fn reals(&self) -> Option<&[f64]> {
         match self {
             AxisValues::Real(v) => Some(v),
             _ => None,
@@ -726,7 +726,7 @@ impl AttackFamily {
     }
 
     /// The axis carrying the family's primary change.
-    pub fn primary_axis(self) -> AxisKind {
+    fn primary_axis(self) -> AxisKind {
         match self {
             AttackFamily::Threshold(_) => AxisKind::RelChange,
             AttackFamily::Theta => AxisKind::ThetaChange,

@@ -35,7 +35,8 @@
 //!
 //! 1. **Enumerate** — a declarative [`ScenarioSpec`] (an attack family
 //!    plus an ordered list of typed axes — `rel_change`, `fraction`,
-//!    `theta_change`, `vdd`, `layer`, `polarity`, `seed`) is flattened
+//!    `theta_change`, `vdd`, `layer`, `polarity`, `seed`, `defense`,
+//!    `detector`, `neurons`) is flattened
 //!    by **one generic planner** ([`ScenarioSpec::plan`]) into a
 //!    [`SweepPlan`] of index-addressed [`CellJob`]s, row-major over the
 //!    axes. The paper's grids are the [`ScenarioSpec::threshold`] /
@@ -992,7 +993,7 @@ pub fn assemble_sweep(
 ///
 /// # Errors
 /// See [`assemble_sweep`].
-pub fn assemble_cells(
+fn assemble_cells(
     kind: AttackKind,
     axes: Vec<Axis>,
     baseline_accuracy: f64,
@@ -1058,14 +1059,6 @@ pub fn scenario_sweep_cached(
     });
     let results = measured.into_iter().collect::<Result<Vec<_>, _>>()?;
     assemble_sweep(&plan, baseline_accuracy, results)
-}
-
-/// [`scenario_sweep_cached`] with a fresh cache for `setup`.
-///
-/// # Errors
-/// See [`scenario_sweep_cached`].
-pub fn scenario_sweep(setup: &ExperimentSetup, spec: &ScenarioSpec) -> Result<SweepResult, Error> {
-    scenario_sweep_cached(&BaselineCache::new(setup), spec)
 }
 
 #[cfg(test)]

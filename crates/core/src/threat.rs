@@ -1,49 +1,7 @@
-//! Threat-model taxonomy (paper §I and §III-A).
+//! The paper's five attack models (§IV), with the adversary access each
+//! assumes (§I).
 
 use std::fmt;
-
-/// What the adversary knows about the SNN (paper §I).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum AccessLevel {
-    /// No knowledge of architecture, parameters or layout; only control of
-    /// the shared external supply.
-    BlackBox,
-    /// Knows the layout well enough to target individual layers or
-    /// peripherals (e.g. via invasive reverse engineering + laser).
-    WhiteBox,
-}
-
-impl fmt::Display for AccessLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            AccessLevel::BlackBox => write!(f, "black-box"),
-            AccessLevel::WhiteBox => write!(f, "white-box"),
-        }
-    }
-}
-
-/// The power-domain assumptions of §III-A.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PowerDomainScenario {
-    /// Case 1: current drivers and neurons on separate VDD domains —
-    /// components can be attacked individually.
-    SeparateDomains,
-    /// Case 2: one shared VDD for the whole SNN.
-    SingleDomain,
-    /// Case 3: fine-grained local glitching (focused laser) inside a
-    /// domain — fractions of a layer can be attacked.
-    LocalGlitch,
-}
-
-impl fmt::Display for PowerDomainScenario {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PowerDomainScenario::SeparateDomains => write!(f, "separate power domains"),
-            PowerDomainScenario::SingleDomain => write!(f, "single power domain"),
-            PowerDomainScenario::LocalGlitch => write!(f, "local power glitching"),
-        }
-    }
-}
 
 /// The five attack models of §IV.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -71,37 +29,6 @@ impl AttackKind {
             AttackKind::InhibitoryThreshold => 3,
             AttackKind::BothLayerThreshold => 4,
             AttackKind::GlobalVdd => 5,
-        }
-    }
-
-    /// Adversary knowledge required.
-    pub fn access_level(self) -> AccessLevel {
-        match self {
-            AttackKind::GlobalVdd => AccessLevel::BlackBox,
-            _ => AccessLevel::WhiteBox,
-        }
-    }
-
-    /// The power-domain scenario the attack assumes.
-    pub fn power_scenario(self) -> PowerDomainScenario {
-        match self {
-            AttackKind::InputSpikeCorruption => PowerDomainScenario::SeparateDomains,
-            AttackKind::ExcitatoryThreshold | AttackKind::InhibitoryThreshold => {
-                PowerDomainScenario::LocalGlitch
-            }
-            AttackKind::BothLayerThreshold => PowerDomainScenario::LocalGlitch,
-            AttackKind::GlobalVdd => PowerDomainScenario::SingleDomain,
-        }
-    }
-
-    /// The paper figure reporting this attack's results.
-    pub fn paper_figure(self) -> &'static str {
-        match self {
-            AttackKind::InputSpikeCorruption => "Fig. 7b",
-            AttackKind::ExcitatoryThreshold => "Fig. 8a",
-            AttackKind::InhibitoryThreshold => "Fig. 8b",
-            AttackKind::BothLayerThreshold => "Fig. 8c",
-            AttackKind::GlobalVdd => "Fig. 9a",
         }
     }
 
@@ -157,18 +84,6 @@ mod tests {
     }
 
     #[test]
-    fn only_attack5_is_black_box() {
-        for kind in AttackKind::all() {
-            let expect = if kind == AttackKind::GlobalVdd {
-                AccessLevel::BlackBox
-            } else {
-                AccessLevel::WhiteBox
-            };
-            assert_eq!(kind.access_level(), expect, "{kind}");
-        }
-    }
-
-    #[test]
     fn worst_cases_match_paper_text() {
         assert_eq!(
             AttackKind::BothLayerThreshold.paper_worst_case_percent(),
@@ -186,9 +101,5 @@ mod tests {
             let text = kind.to_string();
             assert!(text.contains(&format!("attack {}", kind.paper_id())));
         }
-        assert_eq!(AccessLevel::BlackBox.to_string(), "black-box");
-        assert!(PowerDomainScenario::LocalGlitch
-            .to_string()
-            .contains("glitch"));
     }
 }

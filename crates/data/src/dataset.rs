@@ -146,14 +146,6 @@ impl LabeledImages {
         }
         counts
     }
-
-    /// Mean pixel intensity over the whole set (0–255 scale).
-    pub fn mean_intensity(&self) -> f64 {
-        if self.pixels.is_empty() {
-            return 0.0;
-        }
-        self.pixels.iter().map(|&p| p as f64).sum::<f64>() / self.pixels.len() as f64
-    }
 }
 
 /// Iterator returned by [`LabeledImages::iter`].
@@ -229,13 +221,6 @@ mod tests {
         assert_eq!(counts[7], 2);
         assert_eq!(counts[3], 1);
         assert_eq!(counts[0], 0);
-    }
-
-    #[test]
-    fn mean_intensity() {
-        let d = tiny();
-        let expect = (0..12).sum::<i32>() as f64 / 12.0;
-        assert!((d.mean_intensity() - expect).abs() < 1e-12);
     }
 
     #[test]

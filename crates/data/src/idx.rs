@@ -120,7 +120,7 @@ fn read_file(path: &Path) -> Result<Vec<u8>, IdxError> {
 /// # Errors
 /// I/O and format errors from either file, or a count mismatch between
 /// the two.
-pub fn load_pair(images_path: &Path, labels_path: &Path) -> Result<LabeledImages, IdxError> {
+fn load_pair(images_path: &Path, labels_path: &Path) -> Result<LabeledImages, IdxError> {
     let (width, height, pixels) = parse_images(&read_file(images_path)?)?;
     let labels = parse_labels(&read_file(labels_path)?)?;
     if pixels.len() != labels.len() * width * height {

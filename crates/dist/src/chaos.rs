@@ -63,7 +63,7 @@ impl SplitMix64 {
     }
 
     /// `true` with probability `p`.
-    pub fn chance(&mut self, p: f64) -> bool {
+    fn chance(&mut self, p: f64) -> bool {
         self.unit_f64() < p
     }
 }
@@ -95,11 +95,6 @@ impl ConnectionFaults {
     /// No faults at all.
     pub fn clean() -> ConnectionFaults {
         ConnectionFaults::default()
-    }
-
-    /// Whether this connection behaves exactly like the bare transport.
-    pub fn is_clean(&self) -> bool {
-        *self == ConnectionFaults::default()
     }
 }
 
@@ -157,13 +152,8 @@ impl FaultSchedule {
     }
 
     /// The faults for the `index`-th connection (clean past the end).
-    pub fn faults(&self, index: usize) -> ConnectionFaults {
+    fn faults(&self, index: usize) -> ConnectionFaults {
         self.connections.get(index).cloned().unwrap_or_default()
-    }
-
-    /// Whether every connection in the schedule is clean.
-    pub fn is_clean(&self) -> bool {
-        self.connections.iter().all(ConnectionFaults::is_clean)
     }
 }
 
@@ -386,7 +376,7 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, FaultSchedule::from_seed(8, 12));
         // Past-the-end connections are clean.
-        assert!(a.faults(100).is_clean());
+        assert_eq!(a.faults(100), ConnectionFaults::clean());
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   [`NamedCampaign`] queues several on one coordinator, each with a
 //!   scheduling weight.
 //! * [`wire`] — length-prefixed framing and defensive binary encoding of
-//!   the coordinator/worker [`Message`]s (v4: campaigns carry whole
+//!   the coordinator/worker [`Message`]s (since v4, campaigns carry whole
 //!   scenario specs, and cell jobs carry resolved composite attacks, so
 //!   live [`Submit`](wire::Message::Submit) frames can enqueue
 //!   *arbitrary* cross-product grids — not just catalog names); floats

@@ -273,9 +273,8 @@ impl<'a> Decoder<'a> {
     }
 
     /// Reads a length-prefixed UTF-8 string, capped at
-    /// [`MAX_REASON_LEN`] (the most permissive field cap — prefer
-    /// [`capped_string`](Decoder::capped_string) with the field's own
-    /// cap).
+    /// [`MAX_REASON_LEN`] (the most permissive field cap; the fields this
+    /// module decodes use `capped_string` with their own cap).
     pub fn string(&mut self) -> Result<String, WireError> {
         self.capped_string("string", MAX_REASON_LEN)
     }
@@ -284,7 +283,7 @@ impl<'a> Decoder<'a> {
     /// length over `max` *before* allocating — the shared allocation
     /// guard every variable-length text field decodes through. `what`
     /// names the field in the error.
-    pub fn capped_string(&mut self, what: &str, max: usize) -> Result<String, WireError> {
+    fn capped_string(&mut self, what: &str, max: usize) -> Result<String, WireError> {
         let len = self.u32()? as usize;
         if len > max {
             return Err(WireError::Invalid(format!(
@@ -639,7 +638,7 @@ fn decode_opt_f64(dec: &mut Decoder<'_>) -> Result<Option<f64>, WireError> {
 /// the job payload inside [`encode_cell_job`]; content digests hash
 /// through [`encode_attack_digest`] instead, whose legacy prefix is
 /// frozen.
-pub fn encode_attack(enc: &mut Encoder, attack: &CellAttack) {
+fn encode_attack(enc: &mut Encoder, attack: &CellAttack) {
     encode_family(enc, attack.family);
     encode_opt_f64(enc, attack.rel_change);
     enc.f64(attack.fraction);
@@ -664,7 +663,7 @@ pub fn encode_attack(enc: &mut Encoder, attack: &CellAttack) {
 }
 
 /// Encodes the fault-plan half of a cell's content digest. The layout
-/// up to the seed component is the frozen pre-v6 [`encode_attack`]
+/// up to the seed component is the frozen pre-v6 `encode_attack`
 /// stream, so every legacy (undefended, undetected) cell keeps its
 /// exact store key across the protocol bump — existing stores keep
 /// deduping. Cells that carry a countermeasure append a `0x01` marker
@@ -1021,7 +1020,7 @@ pub fn encode_campaign_spec(enc: &mut Encoder, spec: &CampaignSpec) {
 ///
 /// # Errors
 /// Fails on truncation or unknown tags.
-pub fn decode_campaign_spec(dec: &mut Decoder<'_>) -> Result<CampaignSpec, WireError> {
+fn decode_campaign_spec(dec: &mut Decoder<'_>) -> Result<CampaignSpec, WireError> {
     Ok(CampaignSpec {
         setup: decode_setup_spec(dec)?,
         scenario: decode_scenario_spec(dec)?,
@@ -1031,7 +1030,7 @@ pub fn decode_campaign_spec(dec: &mut Decoder<'_>) -> Result<CampaignSpec, WireE
 /// Encodes a [`NamedCampaign`] queue entry (name, scheduling weight,
 /// spec) — the v3 layout shared by `Campaigns`, `Submit`, and
 /// `CampaignAnnounce` frames.
-pub fn encode_named_campaign(enc: &mut Encoder, campaign: &NamedCampaign) {
+fn encode_named_campaign(enc: &mut Encoder, campaign: &NamedCampaign) {
     enc.string(&campaign.name);
     enc.u32(campaign.weight);
     encode_campaign_spec(enc, &campaign.spec);
@@ -1041,7 +1040,7 @@ pub fn encode_named_campaign(enc: &mut Encoder, campaign: &NamedCampaign) {
 ///
 /// # Errors
 /// Fails on truncation or unknown tags.
-pub fn decode_named_campaign(dec: &mut Decoder<'_>) -> Result<NamedCampaign, WireError> {
+fn decode_named_campaign(dec: &mut Decoder<'_>) -> Result<NamedCampaign, WireError> {
     Ok(NamedCampaign {
         name: dec.capped_string("campaign name", MAX_NAME_LEN)?,
         weight: dec.u32()?,

@@ -21,6 +21,8 @@
 //!   property-tested ([`rules::wire_cov`]).
 //! * `capped-reads` — every wire decode flows through an allocation
 //!   guard ([`rules::capped`]).
+//! * `unused-api` — every non-test `pub fn` is named in some other file
+//!   ([`rules::unused_api`]).
 //!
 //! Exceptions are not comments scattered through the tree: they live in
 //! [`ALLOWLIST`], each with the file, the token, and a written reason,
@@ -98,6 +100,12 @@ pub const ALLOWLIST: &[Allow] = &[
         token: "Instant",
         reason: "CLI progress/elapsed display; human-facing only",
     },
+    Allow {
+        rule: "unused-api",
+        file_suffix: "crates/data/src/idx.rs",
+        token: "load_mnist_dir",
+        reason: "the documented way to run on real MNIST; no IDX files ship, so no in-tree caller can exist",
+    },
 ];
 
 /// Result of linting a tree: hard violations, waived hazards (with
@@ -154,8 +162,8 @@ impl Report {
     }
 }
 
-/// Recursively collects `.rs` files under `dir`, sorted for
-/// deterministic report order.
+/// Recursively collects `.rs` files under `dir`, skipping build output
+/// (`target/`), sorted for deterministic report order.
 fn rs_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![dir.to_path_buf()];
@@ -166,7 +174,9 @@ fn rs_files(dir: &Path) -> io::Result<Vec<PathBuf>> {
         entries.sort();
         for p in entries {
             if p.is_dir() {
-                stack.push(p);
+                if !p.ends_with("target") {
+                    stack.push(p);
+                }
             } else if p.extension().is_some_and(|e| e == "rs") {
                 out.push(p);
             }
@@ -188,7 +198,7 @@ fn load_model(root: &Path, p: &Path) -> io::Result<FileModel> {
 }
 
 /// Parses `panic_baseline.txt` (`<count> <path>` per line, `#` comments).
-pub fn load_baseline(path: &Path) -> io::Result<BTreeMap<String, usize>> {
+fn load_baseline(path: &Path) -> io::Result<BTreeMap<String, usize>> {
     let mut out = BTreeMap::new();
     for line in fs::read_to_string(path)?.lines() {
         let line = line.trim();
@@ -232,6 +242,22 @@ const DETERMINISM_ZONE: &[&str] = &[
 ];
 /// The crates under the panic ratchet.
 const PANIC_ZONE: &[&str] = &["dist", "store", "solver", "spice"];
+/// The trees whose `.rs` files can call a workspace `pub fn`.
+/// `benchmark/` is its own package, outside tier-1 `cargo test`, so a
+/// function only it calls would otherwise be deleted unseen.
+const API_CALLERS: &[&str] = &["crates", "src", "tests", "examples", "benchmark"];
+
+/// Whether `rel` is non-test library or binary source whose `pub fn`s
+/// the `unused-api` rule checks: `src/` and `crates/*/src`, but not the
+/// `compat` stand-ins, which copy third-party API shapes on purpose.
+fn defines_api(rel: &str) -> bool {
+    let parts: Vec<&str> = rel.split('/').collect();
+    match parts.as_slice() {
+        ["src", ..] => true,
+        ["crates", krate, "src", ..] => *krate != "compat",
+        _ => false,
+    }
+}
 
 /// Lints the real workspace rooted at `root`. With `update_baseline`
 /// the panic baseline file is rewritten from the current counts instead
@@ -290,29 +316,50 @@ pub fn lint_tree(root: &Path, update_baseline: bool) -> io::Result<Report> {
     let props = fs::read_to_string(root.join("crates/dist/tests/properties.rs"))?;
     rules::wire_cov::check(&wire, Some(&props), &mut findings);
 
+    // unused-api: workspace `pub fn`s vs every other file that could
+    // call them. The linter's own fixtures are data, not callers.
+    let mut scanned = Vec::new();
+    for dir in API_CALLERS {
+        for p in rs_files(&root.join(dir))? {
+            let model = load_model(root, &p)?;
+            if !model.rel.starts_with("crates/lint/tests/fixtures/") {
+                scanned.push(model);
+            }
+        }
+    }
+    let checked = rules::unused_api::check(&scanned, defines_api, &mut findings);
+    report
+        .notes
+        .push(format!("unused-api: {checked} non-test pub fn(s) checked"));
+
     report.absorb(findings);
     Ok(report)
 }
 
 /// Lints a fixture directory: every rule runs on every file, with an
-/// empty panic baseline and no property-test leg for wire coverage.
-/// Used by the self-test corpus under `tests/fixtures/`.
+/// empty panic baseline, no property-test leg for wire coverage, and
+/// the directory's own files as the only API callers. Used by the
+/// self-test corpus under `tests/fixtures/`.
 pub fn lint_fixture_dir(dir: &Path) -> io::Result<Report> {
     let mut report = Report::default();
     let mut findings = Vec::new();
     let mut counts: BTreeMap<String, Vec<rules::panics::PanicSite>> = BTreeMap::new();
-    for p in rs_files(dir)? {
-        let model = load_model(dir, &p)?;
-        rules::determinism::check(&model, &mut findings);
-        rules::capped::check(&model, &mut findings);
-        rules::locks::check(&model, &mut findings);
-        rules::wire_cov::check(&model, None, &mut findings);
-        let sites = rules::panics::sites(&model);
+    let models = rs_files(dir)?
+        .iter()
+        .map(|p| load_model(dir, p))
+        .collect::<io::Result<Vec<_>>>()?;
+    for model in &models {
+        rules::determinism::check(model, &mut findings);
+        rules::capped::check(model, &mut findings);
+        rules::locks::check(model, &mut findings);
+        rules::wire_cov::check(model, None, &mut findings);
+        let sites = rules::panics::sites(model);
         if !sites.is_empty() {
             counts.insert(model.rel.clone(), sites);
         }
     }
     rules::panics::ratchet(&counts, &BTreeMap::new(), &mut findings);
+    rules::unused_api::check(&models, |_| true, &mut findings);
     report.absorb(findings);
     Ok(report)
 }

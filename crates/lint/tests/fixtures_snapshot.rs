@@ -39,6 +39,7 @@ fn bad_fixtures_are_flagged_and_good_fixtures_are_clean() {
         "lock-order",
         "wire-coverage",
         "capped-reads",
+        "unused-api",
     ] {
         assert!(
             bad.violations.iter().any(|f| f.rule == rule),

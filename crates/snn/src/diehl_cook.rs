@@ -304,11 +304,6 @@ impl DiehlCook2015 {
     pub fn set_sample_counter(&mut self, value: u64) {
         self.samples_seen = value;
     }
-
-    /// The current per-sample encoding counter.
-    pub fn sample_counter(&self) -> u64 {
-        self.samples_seen
-    }
 }
 
 #[cfg(test)]

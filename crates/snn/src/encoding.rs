@@ -23,7 +23,8 @@ fn presentation_seed(seed: u64, sample: u64) -> u64 {
 /// use neurofi_snn::PoissonEncoder;
 /// let mut enc = PoissonEncoder::new(128.0, 1.0, 7);
 /// let image = vec![255u8; 100];
-/// let spikes = enc.encode_step(&image);
+/// let mut spikes = vec![0.0f32; image.len()];
+/// enc.encode_step_into(&image, &mut spikes);
 /// let fired = spikes.iter().filter(|&&s| s > 0.0).count();
 /// assert!(fired > 0); // 12.8% per-step probability over 100 pixels
 /// ```
@@ -57,19 +58,12 @@ impl PoissonEncoder {
     }
 
     /// Re-seeds the encoder (used to make every sample reproducible).
-    pub fn reseed(&mut self, seed: u64) {
+    fn reseed(&mut self, seed: u64) {
         self.rng = StdRng::seed_from_u64(seed);
     }
 
-    /// Emits one time step of spikes (1.0 = spike) for the given image.
-    pub fn encode_step(&mut self, image: &[u8]) -> Vec<f32> {
-        let mut out = vec![0.0f32; image.len()];
-        self.encode_step_into(image, &mut out);
-        out
-    }
-
-    /// Same as [`encode_step`](PoissonEncoder::encode_step) but reuses a
-    /// caller buffer.
+    /// Writes one time step of spikes (1.0 = spike) for `image` into
+    /// `out`.
     ///
     /// # Panics
     /// Panics if `out.len() != image.len()`.
@@ -257,13 +251,20 @@ mod tests {
         assert_eq!(counts[2], 0, "zero pixels must never spike");
     }
 
+    /// One step of spikes for `image` in a fresh buffer.
+    fn step(enc: &mut PoissonEncoder, image: &[u8]) -> Vec<f32> {
+        let mut out = vec![0.0f32; image.len()];
+        enc.encode_step_into(image, &mut out);
+        out
+    }
+
     #[test]
     fn deterministic_for_seed() {
         let image = vec![200u8; 50];
         let mut a = PoissonEncoder::new(100.0, 1.0, 5);
         let mut b = PoissonEncoder::new(100.0, 1.0, 5);
         for _ in 0..10 {
-            assert_eq!(a.encode_step(&image), b.encode_step(&image));
+            assert_eq!(step(&mut a, &image), step(&mut b, &image));
         }
     }
 
@@ -271,10 +272,10 @@ mod tests {
     fn reseed_restarts_stream() {
         let image = vec![200u8; 50];
         let mut enc = PoissonEncoder::new(100.0, 1.0, 5);
-        let first = enc.encode_step(&image);
-        enc.encode_step(&image);
+        let first = step(&mut enc, &image);
+        step(&mut enc, &image);
         enc.reseed(5);
-        assert_eq!(enc.encode_step(&image), first);
+        assert_eq!(step(&mut enc, &image), first);
     }
 
     #[test]

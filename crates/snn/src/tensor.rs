@@ -20,7 +20,7 @@ impl Matrix {
     ///
     /// # Panics
     /// Panics if either dimension is zero.
-    pub fn zeros(rows: usize, cols: usize) -> Matrix {
+    fn zeros(rows: usize, cols: usize) -> Matrix {
         assert!(rows > 0 && cols > 0, "matrix dimensions must be non-zero");
         Matrix {
             rows,
@@ -116,21 +116,6 @@ impl Matrix {
         assert_eq!(delta.len(), self.cols, "delta length mismatch");
         for (w, d) in self.row_mut(row).iter_mut().zip(delta) {
             *w += d;
-        }
-    }
-
-    /// Adds `gain * values[r]` to column `col` (`w[:][j] += nu_post *
-    /// pre_trace[:]`) — the unclamped reference of
-    /// [`Matrix::add_clamped_into_col`].
-    ///
-    /// # Panics
-    /// Panics if `values.len() != rows` or `col` is out of bounds.
-    #[inline]
-    pub fn add_into_col(&mut self, col: usize, gain: f32, values: &[f32]) {
-        assert_eq!(values.len(), self.rows, "values length mismatch");
-        assert!(col < self.cols, "column out of bounds");
-        for (r, v) in values.iter().enumerate() {
-            self.data[r * self.cols + col] += gain * v;
         }
     }
 
@@ -235,6 +220,14 @@ pub fn decay(values: &mut [f32], factor: f32) {
 mod tests {
     use super::*;
 
+    /// Adds `gain * values[r]` to column `col`: the unclamped reference
+    /// of [`Matrix::add_clamped_into_col`].
+    fn add_into_col(m: &mut Matrix, col: usize, gain: f32, values: &[f32]) {
+        for (r, v) in values.iter().enumerate() {
+            m.data[r * m.cols + col] += gain * v;
+        }
+    }
+
     #[test]
     fn construction_and_access() {
         let m = Matrix::from_fn(2, 3, |r, c| (r * 10 + c) as f32);
@@ -248,15 +241,6 @@ mod tests {
         let mut out = vec![1.0f32; 3];
         m.add_row_into(1, 2.0, &mut out);
         assert_eq!(out, vec![3.0, 5.0, 7.0]);
-    }
-
-    #[test]
-    fn column_update() {
-        let mut m = Matrix::zeros(3, 2);
-        m.add_into_col(1, 0.5, &[2.0, 4.0, 6.0]);
-        assert_eq!(m.get(0, 1), 1.0);
-        assert_eq!(m.get(2, 1), 3.0);
-        assert_eq!(m.get(0, 0), 0.0);
     }
 
     #[test]
@@ -281,7 +265,7 @@ mod tests {
         let mut staged = fused.clone();
         let values = [1.0f32, 2.0, -4.0];
         fused.add_clamped_into_col(1, 0.5, &values, 0.0, 1.0);
-        staged.add_into_col(1, 0.5, &values);
+        add_into_col(&mut staged, 1, 0.5, &values);
         staged.clamp_all(0.0, 1.0);
         for r in 0..3 {
             assert_eq!(fused.get(r, 1).to_bits(), staged.get(r, 1).to_bits());

@@ -44,12 +44,16 @@ impl std::fmt::Display for MosType {
 /// A MOSFET model card.
 ///
 /// Construct via [`MosModel::ptm65_nmos`] / [`MosModel::ptm65_pmos`] for the
-/// calibrated defaults used throughout the workspace, or build custom cards
-/// with the `with_*` methods:
+/// calibrated defaults used throughout the workspace, or derive custom
+/// cards from them with struct-update syntax:
 ///
 /// ```
 /// use neurofi_spice::device::MosModel;
-/// let slow = MosModel::ptm65_nmos().with_vt0(0.5).with_lambda(0.0);
+/// let slow = MosModel {
+///     vt0: 0.5,
+///     lambda: 0.0,
+///     ..MosModel::ptm65_nmos()
+/// };
 /// assert_eq!(slow.vt0, 0.5);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
@@ -104,34 +108,6 @@ impl MosModel {
             l_ref: 65.0e-9,
             vt_thermal: VT_ROOM,
         }
-    }
-
-    /// Returns a copy with a different threshold voltage magnitude.
-    #[must_use]
-    pub fn with_vt0(mut self, vt0: f64) -> MosModel {
-        self.vt0 = vt0;
-        self
-    }
-
-    /// Returns a copy with a different transconductance parameter.
-    #[must_use]
-    pub fn with_kp(mut self, kp: f64) -> MosModel {
-        self.kp = kp;
-        self
-    }
-
-    /// Returns a copy with a different channel-length-modulation parameter.
-    #[must_use]
-    pub fn with_lambda(mut self, lambda: f64) -> MosModel {
-        self.lambda = lambda;
-        self
-    }
-
-    /// Returns a copy with a different subthreshold slope factor.
-    #[must_use]
-    pub fn with_n(mut self, n: f64) -> MosModel {
-        self.n = n;
-        self
     }
 
     /// Evaluates drain current and its partial derivatives with respect to
@@ -340,7 +316,10 @@ mod tests {
     fn nmos_square_law_in_saturation() {
         // In strong inversion + saturation, id should grow roughly
         // quadratically with overdrive.
-        let m = MosModel::ptm65_nmos().with_lambda(0.0);
+        let m = MosModel {
+            lambda: 0.0,
+            ..MosModel::ptm65_nmos()
+        };
         let i1 = m.eval(1.0e-6, 65.0e-9, 0.423 + 0.2, 1.2, 0.0, 0.0).id;
         let i2 = m.eval(1.0e-6, 65.0e-9, 0.423 + 0.4, 1.2, 0.0, 0.0).id;
         let ratio = i2 / i1;
@@ -349,7 +328,10 @@ mod tests {
 
     #[test]
     fn current_is_source_drain_antisymmetric() {
-        let m = MosModel::ptm65_nmos().with_lambda(0.0);
+        let m = MosModel {
+            lambda: 0.0,
+            ..MosModel::ptm65_nmos()
+        };
         let fwd = m.eval(1.0e-6, 65.0e-9, 0.8, 0.3, 0.1, 0.0).id;
         let rev = m.eval(1.0e-6, 65.0e-9, 0.8, 0.1, 0.3, 0.0).id;
         assert!((fwd + rev).abs() < 1.0e-12 * fwd.abs().max(1.0));
@@ -405,18 +387,5 @@ mod tests {
         assert!(f.is_finite() && df.is_finite());
         let (f, df) = super::ekv_f(-1.0e4);
         assert!(f >= 0.0 && df >= 0.0);
-    }
-
-    #[test]
-    fn model_card_builders() {
-        let m = MosModel::ptm65_nmos()
-            .with_vt0(0.5)
-            .with_kp(100.0e-6)
-            .with_lambda(0.0)
-            .with_n(1.5);
-        assert_eq!(m.vt0, 0.5);
-        assert_eq!(m.kp, 100.0e-6);
-        assert_eq!(m.lambda, 0.0);
-        assert_eq!(m.n, 1.5);
     }
 }

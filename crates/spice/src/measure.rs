@@ -2,8 +2,8 @@
 //!
 //! These free functions operate on `(times, values)` slice pairs as produced
 //! by [`TranResult::voltage`](crate::TranResult::voltage) and implement the
-//! quantities the paper reports: threshold-crossing times, spike counts,
-//! time-to-first-spike, inter-spike periods and window averages.
+//! quantities the paper reports: spike times, inter-spike periods,
+//! extrema and window averages.
 
 /// Which edge of a level crossing to detect.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -19,7 +19,7 @@ pub enum Edge {
 ///
 /// # Panics
 /// Panics if `times` and `values` have different lengths.
-pub fn crossings(times: &[f64], values: &[f64], level: f64, edge: Edge) -> Vec<f64> {
+fn crossings(times: &[f64], values: &[f64], level: f64, edge: Edge) -> Vec<f64> {
     assert_eq!(times.len(), values.len(), "times/values length mismatch");
     let mut out = Vec::new();
     for (tw, vw) in times.windows(2).zip(values.windows(2)) {
@@ -47,19 +47,6 @@ pub fn crossings(times: &[f64], values: &[f64], level: f64, edge: Edge) -> Vec<f
 /// Rising-edge spike times: crossings of `threshold` from below.
 pub fn spike_times(times: &[f64], values: &[f64], threshold: f64) -> Vec<f64> {
     crossings(times, values, threshold, Edge::Rising)
-}
-
-/// Number of spikes (rising crossings of `threshold`) in `[t0, t1]`.
-pub fn spike_count_in(times: &[f64], values: &[f64], threshold: f64, t0: f64, t1: f64) -> usize {
-    spike_times(times, values, threshold)
-        .into_iter()
-        .filter(|&t| t >= t0 && t <= t1)
-        .count()
-}
-
-/// Time of the first rising crossing of `threshold`, if any.
-pub fn time_to_first_spike(times: &[f64], values: &[f64], threshold: f64) -> Option<f64> {
-    spike_times(times, values, threshold).into_iter().next()
 }
 
 /// Mean period between consecutive spikes, if at least two spikes exist.
@@ -179,17 +166,8 @@ mod tests {
             v.push(if (i / 50) % 2 == 1 { 1.0 } else { 0.0 });
         }
         assert_eq!(spike_times(&t, &v, 0.5).len(), 3);
-        // Rising edges near t = 50, 150, 250; [0, 160] holds the first two.
-        assert_eq!(spike_count_in(&t, &v, 0.5, 0.0, 160.0), 2);
         let period = mean_spike_period(&t, &v, 0.5).unwrap();
         assert!((period - 100.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn first_spike_time() {
-        let (t, v) = ramp();
-        assert!(time_to_first_spike(&t, &v, 0.95).is_some());
-        assert!(time_to_first_spike(&t, &v, 2.0).is_none());
     }
 
     #[test]
@@ -269,7 +247,7 @@ mod tests {
         // Empty and single-sample waveforms flow through every helper.
         assert!(crossings(&[], &[], 0.5, Edge::Rising).is_empty());
         assert!(mean_spike_period(&[0.0], &[1.0], 0.5).is_none());
-        assert!(time_to_first_spike(&[], &[], 0.5).is_none());
+        assert!(spike_times(&[], &[], 0.5).is_empty());
         assert!(average_in(&[0.0], &[1.0], 0.0, 1.0).is_none());
         // Reversed window: no overlap, None rather than garbage.
         let (t, v) = ramp();

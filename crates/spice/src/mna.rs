@@ -6,7 +6,7 @@
 //! [`SolverWorkspace`] owned by the analysis drivers (DC operating point,
 //! DC sweep, transient): the buffers are allocated once per analysis and
 //! re-stamped in place on every Newton iteration of every timestep —
-//! [`DenseMatrix::reset`] zeroes without reallocating, so the solver hot
+//! each [`DenseMatrix`] is zeroed without reallocating, so the solver hot
 //! loop performs no heap allocation at all.
 //!
 //! The workspace implements [`neurofi_solver::LinearSolver`] by pure
@@ -122,7 +122,7 @@ impl DenseMatrix {
     }
 
     /// Zeroes every entry without reallocating.
-    pub fn reset(&mut self) {
+    fn reset(&mut self) {
         self.data.fill(0.0);
     }
 
