@@ -61,18 +61,18 @@ use crate::threat::AttackKind;
 
 /// Hard cap on axes per scenario (the attack space has ten axis
 /// kinds; duplicates are rejected anyway).
-pub const MAX_AXES: usize = 10;
+const MAX_AXES: usize = 10;
 /// Hard cap on the neuron count of one layer-netlist cell: a 4096-neuron
 /// layer is already a ≈20 000-unknown circuit per cell.
 pub const MAX_LAYER_NEURONS: u64 = 4_096;
 /// Hard cap on values per axis — mirrors the wire layer's
 /// hostile-length guards so a parsed spec can always be encoded.
-pub const MAX_AXIS_VALUES: usize = 65_536;
+const MAX_AXIS_VALUES: usize = 65_536;
 /// Hard cap on the averaged seed list.
-pub const MAX_SEEDS: usize = 4_096;
+const MAX_SEEDS: usize = 4_096;
 /// Hard cap on enumerated cells per scenario (the product of the axis
 /// lengths).
-pub const MAX_CELLS: usize = 1 << 22;
+const MAX_CELLS: usize = 1 << 22;
 /// Hard cap on a textual spec fed to the parser.
 pub const MAX_SPEC_TEXT: usize = 1 << 20;
 /// Longest recognisable axis/key token; longer names are rejected
@@ -460,7 +460,7 @@ impl Axis {
     ///
     /// # Errors
     /// Rejects unknown or overlong names, malformed values, and axes
-    /// longer than [`MAX_AXIS_VALUES`].
+    /// longer than 65,536 values.
     pub fn parse(text: &str) -> Result<Axis, Error> {
         let (name, values) = text.split_once('=').ok_or_else(|| {
             Error::Invalid(format!(
@@ -1159,7 +1159,7 @@ impl ScenarioSpec {
     ///
     /// # Panics
     /// Panics (instead of attempting a pathological allocation) when
-    /// the axis product exceeds [`MAX_CELLS`] — every untrusted path
+    /// the axis product exceeds 2²² cells — every untrusted path
     /// validates first, so this only fires on a caller that skipped
     /// [`ScenarioSpec::validate`].
     pub fn plan(&self) -> SweepPlan {

@@ -20,8 +20,8 @@
 //!   labels and every image's Poisson input raster, which no fault
 //!   changes (≈13 MiB per seed at paper scale, ≈3.4 MiB at quick scale).
 //!   Every pre-encoded input in a process counts against one fixed
-//!   budget, [`INPUT_BUDGET_BYTES`] (256 MiB); a seed is memoised while
-//!   it fits, and a seed that does not fit runs per sample.
+//!   budget of 256 MiB; a seed is memoised while it fits, and a seed
+//!   that does not fit runs per sample.
 //!
 //! The degree of parallelism is a property of the experiment
 //! ([`ExperimentSetup::parallelism`], a [`Parallelism`] knob), defaulting
@@ -151,7 +151,7 @@ where
 /// scale (1,000 + 250 images at 250 steps, ≈20 input spikes per step),
 /// 3.4 MiB at quick scale and 0.10 MiB at the benchmark's scale, so the
 /// budget holds 19 paper-scale seeds.
-pub const INPUT_BUDGET_BYTES: usize = 256 << 20;
+const INPUT_BUDGET_BYTES: usize = 256 << 20;
 
 /// The process's account of pre-encoded input bytes, limited to
 /// [`INPUT_BUDGET_BYTES`].
@@ -173,7 +173,7 @@ pub(crate) static PROCESS_INPUT_BUDGET: InputBudget = InputBudget::new(INPUT_BUD
 /// image's Poisson input raster, which no fault changes. The cache
 /// builds them once per seed and replays them, bit-identical to
 /// [`ExperimentSetup::run_with_plan`]. Their bytes count against the
-/// process-wide [`INPUT_BUDGET_BYTES`], together with every other
+/// process-wide 256 MiB input budget, together with every other
 /// cache's inputs and any copy a running job holds. A seed is encoded
 /// only when an upper bound on its size fits in what is left, and is
 /// then memoised until the cache is dropped; nothing is evicted. A seed

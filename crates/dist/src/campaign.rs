@@ -34,10 +34,10 @@ use crate::DistError;
 /// Hard cap on a setup's `n_train + n_test`: MNIST's full 60,000 +
 /// 10,000 split, the largest image set the paper's protocol draws from
 /// (the `paper` preset uses 1,000 + 250).
-pub const MAX_SETUP_IMAGES: usize = 70_000;
+const MAX_SETUP_IMAGES: usize = 70_000;
 /// Hard cap on a setup's per-sample exposure, milliseconds: 40× the
 /// `paper` preset's 250 ms.
-pub const MAX_SAMPLE_TIME_MS: f64 = 10_000.0;
+const MAX_SAMPLE_TIME_MS: f64 = 10_000.0;
 
 /// The experiment preset a [`SetupSpec`] starts from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,9 +114,9 @@ impl SetupSpec {
     }
 
     /// Rejects setups no worker can run: an empty training or test set,
-    /// an image count that overflows or exceeds [`MAX_SETUP_IMAGES`], or
-    /// a per-sample exposure that is not finite, positive and at most
-    /// [`MAX_SAMPLE_TIME_MS`]. Every preset passes.
+    /// an image count that overflows or exceeds 70,000 (MNIST's full
+    /// split), or a per-sample exposure that is not finite, positive and
+    /// at most 10,000 ms. Every preset passes.
     ///
     /// # Errors
     /// Returns [`Error::Invalid`] naming the offending field.

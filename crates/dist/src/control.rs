@@ -37,7 +37,7 @@ use crate::{DistError, RetryPolicy};
 /// How long a submitter waits for the coordinator's verdict. Enqueueing
 /// is a queue append plus one journal open, so replies are immediate;
 /// this guards against a dead peer.
-pub const SUBMIT_TIMEOUT: Duration = Duration::from_secs(60);
+const SUBMIT_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Submits one campaign over an already-established [`Connection`] and
 /// returns the campaign id it was enqueued under — the

@@ -15,8 +15,8 @@
 //! (labels and input spike rasters, ≈13 MiB per seed at paper scale,
 //! ≈3.4 MiB at quick scale), so no cell regenerates or re-encodes
 //! them. Every cache in the process draws on one fixed budget of
-//! [`INPUT_BUDGET_BYTES`](neurofi_core::sweep::INPUT_BUDGET_BYTES)
-//! (256 MiB). A worker keeps its caches for its lifetime, so once
+//! 256 MiB (see [`neurofi_core::sweep`]). A worker keeps its caches for
+//! its lifetime, so once
 //! earlier setups fill the budget, a later setup's seeds run per sample.
 //!
 //! Results stream back in acknowledgement windows: the worker sends one

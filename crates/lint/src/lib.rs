@@ -21,8 +21,8 @@
 //!   property-tested ([`rules::wire_cov`]).
 //! * `capped-reads` — every wire decode flows through an allocation
 //!   guard ([`rules::capped`]).
-//! * `unused-api` — every non-test `pub fn` is named in some other file
-//!   ([`rules::unused_api`]).
+//! * `unused-api` — every non-test `pub fn`, `pub const` and `pub static`
+//!   is named in some other file ([`rules::unused_api`]).
 //!
 //! Exceptions are not comments scattered through the tree: they live in
 //! [`ALLOWLIST`], each with the file, the token, and a written reason,
@@ -328,9 +328,9 @@ pub fn lint_tree(root: &Path, update_baseline: bool) -> io::Result<Report> {
         }
     }
     let checked = rules::unused_api::check(&scanned, defines_api, &mut findings);
-    report
-        .notes
-        .push(format!("unused-api: {checked} non-test pub fn(s) checked"));
+    report.notes.push(format!(
+        "unused-api: {checked} non-test pub fn/const/static item(s) checked"
+    ));
 
     report.absorb(findings);
     Ok(report)

@@ -19,7 +19,7 @@ use crate::Finding;
 
 /// Identifiers forbidden inside deterministic zones, each with the
 /// invariant it would break.
-pub const FORBIDDEN: &[(&str, &str)] = &[
+const FORBIDDEN: &[(&str, &str)] = &[
     (
         "HashMap",
         "iteration order is randomized per process; use BTreeMap or sort before bytes leave",

@@ -17,8 +17,9 @@
 //! by mean assigned-class activity.
 
 use crate::encoding::{PoissonEncoder, SpikeRaster};
-use crate::learning::PostPreStdp;
+use crate::learning::{Activity, PostPreStdp};
 use crate::neurons::{InputLayer, LifLayer, LifParameters};
+use crate::tensor::indices;
 use crate::topology::{DenseConnection, LateralInhibition, OneToOneConnection};
 
 /// Configuration of the Diehl&Cook network.
@@ -119,7 +120,6 @@ pub struct DiehlCook2015 {
     // Scratch buffers reused across steps.
     exc_current: Vec<f32>,
     inh_current: Vec<f32>,
-    spike_buffer: Vec<f32>,
 }
 
 impl DiehlCook2015 {
@@ -153,7 +153,6 @@ impl DiehlCook2015 {
         let inh_to_exc = LateralInhibition::new(config.n_inhibitory, -config.inh_weight.abs());
         let n_exc = config.n_excitatory;
         let n_inh = config.n_inhibitory;
-        let n_in = config.n_input;
         DiehlCook2015 {
             config,
             input,
@@ -167,7 +166,6 @@ impl DiehlCook2015 {
             samples_seen: 0,
             exc_current: vec![0.0; n_exc],
             inh_current: vec![0.0; n_inh],
-            spike_buffer: vec![0.0; n_in],
         }
     }
 
@@ -181,18 +179,46 @@ impl DiehlCook2015 {
         self.config.steps_per_sample()
     }
 
-    /// Advances the network one step with the given input spikes
-    /// (synchronous update: layer inputs are computed from the previous
-    /// step's spikes before any layer advances).
+    /// Advances the network one step with the given dense input frame,
+    /// 1.0 for an input that fires and 0.0 for one that does not: a
+    /// wrapper that lists the firing inputs and runs the step
+    /// [`present`](DiehlCook2015::present) runs.
     ///
     /// # Panics
-    /// Panics if `input_spikes.len() != config.n_input`.
+    /// Panics if `input_spikes.len() != config.n_input`, or if an entry
+    /// is neither 0.0 nor 1.0; the message names the entry.
     pub fn step(&mut self, input_spikes: &[f32]) {
-        self.input.set_spikes(input_spikes);
+        assert_eq!(
+            input_spikes.len(),
+            self.config.n_input,
+            "input spike length mismatch"
+        );
+        let binary = |s: f32| s == 0.0 || s == 1.0;
+        // One vectorised test; the search for the offender runs only on
+        // failure.
+        if !input_spikes.iter().fold(true, |all, &s| all & binary(s)) {
+            let i = input_spikes
+                .iter()
+                .position(|&s| !binary(s))
+                .expect("a non-binary entry exists");
+            panic!(
+                "input spike entry {i} is {}, not 0.0 or 1.0",
+                input_spikes[i]
+            );
+        }
+        self.input.fire(indices(input_spikes, |s| s == 1.0));
+        self.advance();
+    }
 
+    /// The network's one step, after the input layer has fired
+    /// (synchronous update: layer inputs are computed from the previous
+    /// step's spikes before any layer advances). The input forward pass
+    /// and STDP read the input layer's index lists, so their cost follows
+    /// the spikes.
+    fn advance(&mut self) {
         self.exc_current.fill(0.0);
         self.input_to_exc
-            .forward_into(&self.input.spikes, &mut self.exc_current);
+            .forward_spiking(self.input.spiking(), &mut self.exc_current);
         self.inh_to_exc
             .forward_into(&self.inhibitory.spikes, &mut self.exc_current);
 
@@ -204,12 +230,19 @@ impl DiehlCook2015 {
         self.inhibitory.step(&self.inh_current);
 
         if self.learning {
-            self.config.stdp.update(
+            self.config.stdp.apply(
                 &mut self.input_to_exc,
-                &self.input.spikes,
-                &self.input.traces,
-                &self.excitatory.spikes,
-                &self.excitatory.traces,
+                Activity {
+                    spikes: &self.input.spikes,
+                    spiking: self.input.spiking(),
+                    traces: &self.input.traces,
+                },
+                self.input.traced().iter().copied(),
+                Activity {
+                    spikes: &self.excitatory.spikes,
+                    spiking: self.excitatory.spiking(),
+                    traces: &self.excitatory.traces,
+                },
             );
         }
     }
@@ -227,10 +260,11 @@ impl DiehlCook2015 {
     }
 
     /// Presents one input raster, returning the excitatory spike count
-    /// per neuron: the network's only step loop. Dynamic state resets
-    /// between samples (adaptive thresholds and learned weights
-    /// persist); weights are renormalised before the presentation when
-    /// `train` is set. The presentation advances the sample counter.
+    /// per neuron: the network's only step loop, fed each step's index
+    /// list straight from the raster. Dynamic state resets between
+    /// samples (adaptive thresholds and learned weights persist);
+    /// weights are renormalised before the presentation when `train` is
+    /// set. The presentation advances the sample counter.
     ///
     /// # Panics
     /// Panics if the raster was drawn for another input size, network
@@ -274,18 +308,14 @@ impl DiehlCook2015 {
         self.samples_seen += 1;
 
         let mut counts = vec![0.0f32; self.config.n_excitatory];
-        let mut spikes = std::mem::take(&mut self.spike_buffer);
         for t in 0..raster.steps() {
-            spikes.fill(0.0);
-            for &i in raster.step(t) {
-                spikes[usize::from(i)] = 1.0;
-            }
-            self.step(&spikes);
-            for (c, &s) in counts.iter_mut().zip(&self.excitatory.spikes) {
-                *c += s;
+            self.input
+                .fire(raster.step(t).iter().map(|&i| usize::from(i)));
+            self.advance();
+            for &j in self.excitatory.spiking() {
+                counts[j] += 1.0;
             }
         }
-        self.spike_buffer = spikes;
         counts
     }
 
@@ -441,6 +471,92 @@ mod tests {
     fn rejects_wrong_image_size() {
         let mut net = quick_net(0);
         net.run_sample(&[0u8; 100], true);
+    }
+
+    /// `present`, spelled as a loop of the dense `step` over the
+    /// raster's frames.
+    fn present_by_steps(net: &mut DiehlCook2015, raster: &SpikeRaster, train: bool) -> Vec<f32> {
+        net.learning = train;
+        if train {
+            net.input_to_exc.normalize();
+        }
+        net.input.reset_state();
+        net.excitatory.reset_state();
+        net.inhibitory.reset_state();
+        net.samples_seen += 1;
+        let mut counts = vec![0.0f32; net.config.n_excitatory];
+        let mut frame = vec![0.0f32; raster.n_input()];
+        for t in 0..raster.steps() {
+            frame.fill(0.0);
+            for &i in raster.step(t) {
+                frame[usize::from(i)] = 1.0;
+            }
+            net.step(&frame);
+            for (c, &s) in counts.iter_mut().zip(&net.excitatory.spikes) {
+                *c += s;
+            }
+        }
+        counts
+    }
+
+    #[test]
+    fn present_equals_a_loop_of_step_over_the_dense_frames() {
+        let data = SynthDigits::default().generate(5, 5);
+        let mut by_raster = quick_net(7);
+        let mut by_frames = by_raster.clone();
+        let steps = by_raster.steps_per_sample();
+        let mut encoder = PoissonEncoder::new(128.0, 1.0, 7);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (sample, (image, _)) in data.iter().enumerate() {
+            let train = sample < 3;
+            let raster = encoder.raster(image, 7, sample as u64, steps);
+            let counts = by_raster.present(&raster, train);
+            assert_eq!(
+                bits(&counts),
+                bits(&present_by_steps(&mut by_frames, &raster, train)),
+                "counts of sample {sample}"
+            );
+            assert!(
+                counts.iter().sum::<f32>() > 0.0,
+                "sample {sample} is silent"
+            );
+            assert_eq!(
+                bits(by_raster.input_to_exc.w.as_slice()),
+                bits(by_frames.input_to_exc.w.as_slice()),
+                "weights after sample {sample}"
+            );
+            assert_eq!(
+                bits(&by_raster.excitatory.theta),
+                bits(&by_frames.excitatory.theta),
+                "theta after sample {sample}"
+            );
+        }
+    }
+
+    #[test]
+    fn trained_weights_are_never_negative_zero() {
+        // The STDP kernel skips rows whose trace is 0.0, which is exact
+        // only while no weight is −0.0 (see `DenseConnection::w`).
+        let data = SynthDigits::default().generate(8, 5);
+        let mut net = quick_net(11);
+        for (img, _) in data.iter() {
+            net.run_sample(img, true);
+        }
+        let w = net.input_to_exc.w.as_slice();
+        assert!(w.iter().all(|w| w.to_bits() != (-0.0f32).to_bits()));
+        assert!(
+            w.contains(&0.0),
+            "no weight was clamped to the 0.0 bound, so the check saw no zero"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "input spike entry 3 is 0.5, not 0.0 or 1.0")]
+    fn step_refuses_a_spike_amplitude() {
+        let mut net = quick_net(0);
+        let mut frame = vec![0.0f32; net.config().n_input];
+        frame[3] = 0.5;
+        net.step(&frame);
     }
 
     /// A raster of a digit drawn for `(seed, sample)` over `steps` steps.

@@ -82,6 +82,8 @@ pub struct LifLayer {
     pub v: Vec<f32>,
     /// Spike indicator from the most recent step (1.0 = spiked).
     pub spikes: Vec<f32>,
+    /// The neurons that spiked in the most recent step, ascending.
+    spiking: Vec<usize>,
     /// Synaptic traces (decaying spike memory for STDP).
     pub traces: Vec<f32>,
     /// Adaptive threshold increments, mV (all zeros when disabled).
@@ -108,6 +110,7 @@ impl LifLayer {
             dt_ms,
             v: vec![params.v_rest; n],
             spikes: vec![0.0; n],
+            spiking: Vec::with_capacity(n),
             traces: vec![0.0; n],
             theta: vec![0.0; n],
             refractory_left: vec![0.0; n],
@@ -129,6 +132,12 @@ impl LifLayer {
     /// The layer parameters.
     pub fn params(&self) -> &LifParameters {
         &self.params
+    }
+
+    /// The neurons that spiked in the most recent step, ascending: the
+    /// indices of [`LifLayer::spikes`]' nonzero entries.
+    pub fn spiking(&self) -> &[usize] {
+        &self.spiking
     }
 
     /// The effective firing threshold of neuron `i`, including the fault
@@ -153,6 +162,7 @@ impl LifLayer {
         if adapt {
             decay(&mut self.theta, self.theta_decay);
         }
+        self.spiking.clear();
         // The membrane loop walks five parallel arrays; indexing beats a
         // five-way zip for clarity here.
         #[allow(clippy::needless_range_loop)]
@@ -166,6 +176,7 @@ impl LifLayer {
             self.v[i] = p.v_rest + (self.v[i] - p.v_rest) * self.v_decay + input[i];
             if self.v[i] >= self.effective_threshold(i) {
                 self.spikes[i] = 1.0;
+                self.spiking.push(i);
                 self.traces[i] = 1.0;
                 self.v[i] = p.v_reset;
                 self.refractory_left[i] = p.refractory_ms;
@@ -182,6 +193,7 @@ impl LifLayer {
     pub fn reset_state(&mut self) {
         self.v.fill(self.params.v_rest);
         self.spikes.fill(0.0);
+        self.spiking.clear();
         self.traces.fill(0.0);
         self.refractory_left.fill(0.0);
     }
@@ -192,15 +204,28 @@ impl LifLayer {
     }
 }
 
-/// The input population: spikes are set externally by an encoder; the
-/// layer only maintains STDP traces.
+/// The input population: an encoder decides which channels fire each
+/// step; the layer keeps their spike indicators and STDP traces, and the
+/// two index lists that let every consumer work in O(spikes) instead of
+/// O(channels):
+///
+/// - [`InputLayer::spiking`]: this step's firing channels, ascending;
+/// - [`InputLayer::traced`]: the *traced rows*, every channel whose trace
+///   is nonzero, in no particular order. A channel outside the list has
+///   a trace of exactly 0.0.
+///
+/// [`InputLayer::fire`] and [`InputLayer::reset_state`] keep the dense
+/// vectors and the lists in step; write `spikes` and `traces` through
+/// them only.
 #[derive(Debug, Clone)]
 pub struct InputLayer {
     trace_decay: f32,
-    /// Spike indicator for the current step.
+    /// Spike indicator for the current step (1.0 = fired).
     pub spikes: Vec<f32>,
     /// Synaptic traces.
     pub traces: Vec<f32>,
+    spiking: Vec<usize>,
+    traced: Vec<usize>,
 }
 
 impl InputLayer {
@@ -218,6 +243,8 @@ impl InputLayer {
             trace_decay: (-dt_ms / tau_trace).exp(),
             spikes: vec![0.0; n],
             traces: vec![0.0; n],
+            spiking: Vec::new(),
+            traced: Vec::new(),
         }
     }
 
@@ -231,26 +258,64 @@ impl InputLayer {
         self.spikes.is_empty()
     }
 
-    /// Loads this step's spikes and updates traces.
+    /// Advances one step in which exactly the channels `spiking` fire:
+    /// their traces reset to 1 and every other trace decays. Only the
+    /// traced rows decay (every other trace is 0.0, and `0.0 · decay` is
+    /// 0.0), and a row leaves the list when its trace underflows to 0.0,
+    /// so the step costs O(traced rows + spikes).
     ///
     /// # Panics
-    /// Panics if `spikes.len() != len()`.
-    pub fn set_spikes(&mut self, spikes: &[f32]) {
-        assert_eq!(spikes.len(), self.len(), "spike length mismatch");
-        // Fused decay-and-load in one branch-free pass (the select
-        // vectorises): traces of spiking channels reset to 1, the rest
-        // decay — identical to a decay pass followed by spike loading.
-        for ((trace, out), &s) in self.traces.iter_mut().zip(&mut self.spikes).zip(spikes) {
-            *out = s;
-            let decayed = *trace * self.trace_decay;
-            *trace = if s > 0.0 { 1.0 } else { decayed };
+    /// Panics if a channel is out of range or the channels are not
+    /// strictly ascending.
+    pub fn fire(&mut self, spiking: impl IntoIterator<Item = usize>) {
+        for &i in &self.spiking {
+            self.spikes[i] = 0.0;
         }
+        self.spiking.clear();
+        let mut underflow = false;
+        for &i in &self.traced {
+            self.traces[i] *= self.trace_decay;
+            underflow |= self.traces[i] == 0.0;
+        }
+        if underflow {
+            // Some trace decayed to 0.0 (thousands of silent steps after
+            // its spike): its row leaves the list.
+            let traces = &self.traces;
+            self.traced.retain(|&i| traces[i] != 0.0);
+        }
+        let n = self.spikes.len();
+        for i in spiking {
+            assert!(i < n, "input channel {i} out of range for {n} channels");
+            assert!(
+                self.spiking.last().is_none_or(|&last| last < i),
+                "input channels must be strictly ascending, got {i} after {:?}",
+                self.spiking.last()
+            );
+            if self.traces[i] == 0.0 {
+                self.traced.push(i);
+            }
+            self.traces[i] = 1.0;
+            self.spikes[i] = 1.0;
+            self.spiking.push(i);
+        }
+    }
+
+    /// This step's firing channels, ascending.
+    pub fn spiking(&self) -> &[usize] {
+        &self.spiking
+    }
+
+    /// The traced rows: every channel whose trace is nonzero.
+    pub fn traced(&self) -> &[usize] {
+        &self.traced
     }
 
     /// Clears spikes and traces.
     pub fn reset_state(&mut self) {
         self.spikes.fill(0.0);
         self.traces.fill(0.0);
+        self.spiking.clear();
+        self.traced.clear();
     }
 }
 
@@ -392,12 +457,71 @@ mod tests {
     #[test]
     fn input_layer_traces() {
         let mut input = InputLayer::new(3, 20.0, 1.0);
-        input.set_spikes(&[1.0, 0.0, 0.0]);
+        input.fire([0]);
         assert_eq!(input.traces[0], 1.0);
-        input.set_spikes(&[0.0, 1.0, 0.0]);
+        assert_eq!(input.spikes, vec![1.0, 0.0, 0.0]);
+        input.fire([1]);
         assert!(input.traces[0] < 1.0);
         assert_eq!(input.traces[1], 1.0);
+        assert_eq!(input.spikes, vec![0.0, 1.0, 0.0]);
+        assert_eq!(input.spiking(), &[1]);
         input.reset_state();
         assert_eq!(input.traces, vec![0.0; 3]);
+        assert!(input.spiking().is_empty() && input.traced().is_empty());
+    }
+
+    /// The reference: one dense decay-and-load pass over every channel,
+    /// in which traces of firing channels reset to 1 and the rest decay.
+    fn dense_fire(traces: &mut [f32], spikes: &[f32], decay: f32) {
+        for (trace, &s) in traces.iter_mut().zip(spikes) {
+            let decayed = *trace * decay;
+            *trace = if s > 0.0 { 1.0 } else { decayed };
+        }
+    }
+
+    #[test]
+    fn fire_equals_the_dense_pass_and_lists_the_nonzero_traces() {
+        // tau = dt/16: a trace underflows to 0.0 within a few dozen
+        // steps, so rows leave the traced list and come back.
+        let mut input = InputLayer::new(5, 1.0 / 16.0, 1.0);
+        let mut traces = vec![0.0f32; 5];
+        let mut state = 7u64;
+        for step in 0..200 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let bits = if step % 50 < 30 { state >> 59 } else { 0 };
+            let spikes: Vec<f32> = (0..5).map(|i| ((bits >> i) & 1) as f32).collect();
+            input.fire((0..5).filter(|&i| spikes[i] > 0.0));
+            dense_fire(&mut traces, &spikes, input.trace_decay);
+            assert_eq!(input.spikes, spikes, "step {step}");
+            let bits = |v: &[f32]| v.iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&input.traces), bits(&traces), "step {step}");
+            let mut traced = input.traced().to_vec();
+            traced.sort_unstable();
+            let nonzero: Vec<usize> = (0..5).filter(|&i| traces[i] != 0.0).collect();
+            assert_eq!(traced, nonzero, "step {step}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "strictly ascending, got 0 after Some(2)")]
+    fn fire_refuses_unsorted_channels() {
+        InputLayer::new(3, 20.0, 1.0).fire([2, 0]);
+    }
+
+    #[test]
+    fn lif_spiking_lists_the_spike_indicators() {
+        let mut l = layer(3);
+        let mut fired = 0;
+        for _ in 0..30 {
+            l.step(&[5.0, 3.0, 0.0]);
+            let nonzero: Vec<usize> = (0..3).filter(|&i| l.spikes[i] > 0.0).collect();
+            assert_eq!(l.spiking(), &nonzero[..]);
+            fired += nonzero.len();
+        }
+        assert!(fired > 2, "the driven neurons fired only {fired} times");
+        l.reset_state();
+        assert!(l.spiking().is_empty());
     }
 }

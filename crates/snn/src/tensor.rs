@@ -1,10 +1,14 @@
 //! Minimal dense-matrix kernels for spike-driven networks.
 //!
 //! Spiking networks need very few linear-algebra primitives, but they need
-//! them fast and in the right access pattern: spikes are sparse, so the
-//! hot operation is "accumulate the rows of spiking presynaptic neurons
-//! into a postsynaptic current vector", which is cache-friendly on a
-//! row-major `[pre][post]` layout.
+//! them in the right access pattern. Spikes are sparse, so every per-step
+//! operation is driven by a list of neuron indices and walks whole rows of
+//! the row-major `[pre][post]` layout: the forward pass accumulates the
+//! rows of spiking presynaptic neurons into a postsynaptic current vector
+//! ([`Matrix::add_row_into`]), and STDP rewrites the rows of spiking and
+//! traced presynaptic neurons in place ([`Matrix::row_mut`]). No per-step
+//! operation walks a column; only the once-per-sample normalisation and
+//! clamp sweep the whole matrix.
 
 /// Row-major `f32` matrix with `rows` presynaptic and `cols` postsynaptic
 /// entries.
@@ -105,59 +109,6 @@ impl Matrix {
         }
     }
 
-    /// Adds `delta[c]` to every entry of `row` — the presynaptic STDP
-    /// update (`w[i][:] -= nu_pre * post_trace[:]` with `delta`
-    /// pre-negated by the caller).
-    ///
-    /// # Panics
-    /// Panics if `delta.len() != cols` or `row` is out of bounds.
-    #[inline]
-    pub fn add_into_row(&mut self, row: usize, delta: &[f32]) {
-        assert_eq!(delta.len(), self.cols, "delta length mismatch");
-        for (w, d) in self.row_mut(row).iter_mut().zip(delta) {
-            *w += d;
-        }
-    }
-
-    /// Clamps every entry of `row` into `[lo, hi]` — the sparsity-scaled
-    /// companion of [`Matrix::clamp_all`] for updates that touched a
-    /// single presynaptic row.
-    ///
-    /// # Panics
-    /// Panics if `lo > hi` or `row` is out of bounds.
-    #[inline]
-    pub fn clamp_row(&mut self, row: usize, lo: f32, hi: f32) {
-        assert!(lo <= hi, "invalid clamp range");
-        for w in self.row_mut(row) {
-            *w = w.clamp(lo, hi);
-        }
-    }
-
-    /// `self[r][col] = clamp(self[r][col] + gain * values[r])` — the
-    /// postsynaptic STDP update with the bound clamp fused into the single
-    /// strided column walk.
-    ///
-    /// # Panics
-    /// Panics if `values.len() != rows`, `col` is out of bounds, or
-    /// `lo > hi`.
-    #[inline]
-    pub fn add_clamped_into_col(
-        &mut self,
-        col: usize,
-        gain: f32,
-        values: &[f32],
-        lo: f32,
-        hi: f32,
-    ) {
-        assert_eq!(values.len(), self.rows, "values length mismatch");
-        assert!(col < self.cols, "column out of bounds");
-        assert!(lo <= hi, "invalid clamp range");
-        for (r, v) in values.iter().enumerate() {
-            let w = &mut self.data[r * self.cols + col];
-            *w = (*w + gain * v).clamp(lo, hi);
-        }
-    }
-
     /// Clamps every element into `[lo, hi]`.
     ///
     /// # Panics
@@ -207,6 +158,26 @@ impl Matrix {
     }
 }
 
+/// The indices of the entries of `values` that `keep` accepts, ascending:
+/// the index list a dense spike or trace vector stands for. Sixteen
+/// entries are tested at once first, in a pass that vectorises, so a
+/// sparse vector's silent stretches cost little more than their loads.
+pub(crate) fn indices<'a>(
+    values: &'a [f32],
+    keep: impl Fn(f32) -> bool + Copy + 'a,
+) -> impl Iterator<Item = usize> + 'a {
+    const CHUNK: usize = 16;
+    values
+        .chunks(CHUNK)
+        .enumerate()
+        .filter(move |(_, chunk)| chunk.iter().fold(false, |any, &v| any | keep(v)))
+        .flat_map(move |(c, chunk)| {
+            (0..chunk.len())
+                .filter(move |&k| keep(chunk[k]))
+                .map(move |k| c * CHUNK + k)
+        })
+}
+
 /// In-place exponential decay toward zero: `x *= factor` for every entry.
 /// Shared by membrane traces; `factor = exp(-dt/tau)`.
 #[inline]
@@ -219,14 +190,6 @@ pub fn decay(values: &mut [f32], factor: f32) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Adds `gain * values[r]` to column `col`: the unclamped reference
-    /// of [`Matrix::add_clamped_into_col`].
-    fn add_into_col(m: &mut Matrix, col: usize, gain: f32, values: &[f32]) {
-        for (r, v) in values.iter().enumerate() {
-            m.data[r * m.cols + col] += gain * v;
-        }
-    }
 
     #[test]
     fn construction_and_access() {
@@ -241,37 +204,6 @@ mod tests {
         let mut out = vec![1.0f32; 3];
         m.add_row_into(1, 2.0, &mut out);
         assert_eq!(out, vec![3.0, 5.0, 7.0]);
-    }
-
-    #[test]
-    fn row_update() {
-        let mut m = Matrix::zeros(2, 3);
-        m.add_into_row(0, &[1.0, -2.0, 3.0]);
-        assert_eq!(m.row(0), &[1.0, -2.0, 3.0]);
-        assert_eq!(m.row(1), &[0.0, 0.0, 0.0]);
-    }
-
-    #[test]
-    fn clamp_row_touches_only_its_span() {
-        let mut m = Matrix::from_fn(3, 3, |_, _| 5.0);
-        m.clamp_row(0, 0.0, 1.0);
-        assert_eq!(m.row(0), &[1.0, 1.0, 1.0]);
-        assert_eq!(m.row(1), &[5.0, 5.0, 5.0]);
-    }
-
-    #[test]
-    fn clamped_col_update_matches_add_then_clamp() {
-        let mut fused = Matrix::from_fn(3, 2, |r, _| r as f32 * 0.4);
-        let mut staged = fused.clone();
-        let values = [1.0f32, 2.0, -4.0];
-        fused.add_clamped_into_col(1, 0.5, &values, 0.0, 1.0);
-        add_into_col(&mut staged, 1, 0.5, &values);
-        staged.clamp_all(0.0, 1.0);
-        for r in 0..3 {
-            assert_eq!(fused.get(r, 1).to_bits(), staged.get(r, 1).to_bits());
-            // Column 0 untouched by the fused update.
-            assert_eq!(fused.get(r, 0), r as f32 * 0.4);
-        }
     }
 
     #[test]
@@ -309,6 +241,17 @@ mod tests {
         for (a, b) in m.as_slice().iter().zip(once.as_slice()) {
             assert!((a - b).abs() < 1e-6);
         }
+    }
+
+    #[test]
+    fn indices_list_the_kept_entries_across_chunks() {
+        let values: Vec<f32> = (0..40)
+            .map(|i| if i % 7 == 3 { 1.0 } else { 0.0 })
+            .collect();
+        let listed: Vec<usize> = indices(&values, |v| v > 0.0).collect();
+        assert_eq!(listed, [3, 10, 17, 24, 31, 38]);
+        assert_eq!(indices(&[], |v| v > 0.0).count(), 0);
+        assert_eq!(indices(&[2.0; 33], |v| v > 0.0).count(), 33);
     }
 
     #[test]

@@ -11,12 +11,30 @@ use crate::tensor::Matrix;
 
 /// Dense all-to-all connection with optional weight bounds and column
 /// normalisation (the plastic input → excitatory pathway).
+///
+/// Both per-step operations take index lists, so their cost follows the
+/// spikes: the forward pass adds one weight row per spiking input
+/// ([`DenseConnection::forward_spiking`]), and the STDP kernel
+/// ([`PostPreStdp`](crate::learning::PostPreStdp)) rewrites the rows of
+/// spiking inputs and touches the other traced rows at the spiking
+/// columns only.
 #[derive(Debug, Clone)]
 pub struct DenseConnection {
-    /// Weight matrix, `[pre][post]`. When writing out-of-range values
-    /// directly, call [`DenseConnection::mark_weights_dirty`] (or
-    /// [`DenseConnection::clamp_weights`]) afterwards so STDP's
-    /// sparsity-scaled clamping keeps its in-bounds invariant.
+    /// Weight matrix, `[pre][post]`.
+    ///
+    /// STDP skips the rows whose input trace is exactly 0.0: their update
+    /// would be `clamp(w + 0.0)`, which leaves `w` unchanged under two
+    /// preconditions that every write must keep.
+    ///
+    /// - *No weight is −0.0* (`−0.0 + 0.0` is `+0.0`). No operation of
+    ///   this crate makes one: initial weights are drawn from
+    ///   `[0, init_scale)`, `x + (−x)` rounds to `+0.0`, and
+    ///   normalisation only scales.
+    /// - *Every weight is within `[w_min, w_max]`*, unless the
+    ///   connection is marked dirty, in which case the next update ends
+    ///   with a full clamp. After writing out-of-range values directly,
+    ///   call [`DenseConnection::mark_weights_dirty`] (or
+    ///   [`DenseConnection::clamp_weights`]).
     pub w: Matrix,
     /// Lower weight bound.
     pub w_min: f32,
@@ -33,7 +51,7 @@ pub struct DenseConnection {
     /// Set when an operation (normalisation) may have pushed weights
     /// outside `[w_min, w_max]`; cleared by a full clamp. While false,
     /// every weight is known in-bounds, so STDP only needs to clamp the
-    /// rows/columns it touched.
+    /// weights it touched.
     pub(crate) maybe_unclamped: bool,
     /// Reusable `cols`-sized buffer for the per-step depression delta, so
     /// the STDP hot loop never allocates.
@@ -77,18 +95,17 @@ impl DenseConnection {
         self
     }
 
-    /// Accumulates postsynaptic currents from presynaptic spikes:
-    /// `out[post] += gain · Σ_{pre: spiking} w[pre][post]`.
+    /// Accumulates postsynaptic currents from the presynaptic neurons
+    /// listed in `spiking`: `out[post] += gain · w[pre][post]` for each
+    /// listed `pre`, in list order (ascending lists sum in index order).
     ///
     /// # Panics
-    /// Panics if slice lengths do not match the matrix shape.
-    pub fn forward_into(&self, pre_spikes: &[f32], out: &mut [f32]) {
-        assert_eq!(pre_spikes.len(), self.w.rows(), "pre spike length mismatch");
+    /// Panics if `out.len()` is not the number of postsynaptic neurons or
+    /// an index is out of range.
+    pub fn forward_spiking(&self, spiking: &[usize], out: &mut [f32]) {
         assert_eq!(out.len(), self.w.cols(), "output length mismatch");
-        for (pre, &s) in pre_spikes.iter().enumerate() {
-            if s > 0.0 {
-                self.w.add_row_into(pre, s * self.gain, out);
-            }
+        for &pre in spiking {
+            self.w.add_row_into(pre, self.gain, out);
         }
     }
 
@@ -107,8 +124,8 @@ impl DenseConnection {
     /// Declares that `w` (or the bounds) may have been mutated directly
     /// into an out-of-range state. Callers writing through the public `w`
     /// field should invoke this so the next STDP update restores the
-    /// in-bounds invariant with a full clamp instead of the sparse
-    /// touched-rows/columns pass.
+    /// in-bounds invariant with a full clamp instead of clamping only the
+    /// weights it touched.
     pub fn mark_weights_dirty(&mut self) {
         self.maybe_unclamped = true;
     }
@@ -200,7 +217,7 @@ mod tests {
         conn.w.set(0, 1, 0.25);
         conn.w.set(2, 0, 1.0);
         let mut out = vec![0.0f32; 2];
-        conn.forward_into(&[1.0, 0.0, 1.0], &mut out);
+        conn.forward_spiking(&[0, 2], &mut out);
         assert_eq!(out, vec![1.5, 0.25]);
     }
 
@@ -210,7 +227,7 @@ mod tests {
         conn.w.set(0, 0, 1.0);
         conn.gain = 0.68; // the paper's VDD=0.8 drive scale
         let mut out = vec![0.0f32; 2];
-        conn.forward_into(&[1.0, 0.0], &mut out);
+        conn.forward_spiking(&[0], &mut out);
         assert!((out[0] - 0.68).abs() < 1e-6);
         assert_eq!(conn.w.get(0, 0), 1.0, "weights must be untouched");
     }

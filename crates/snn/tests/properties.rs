@@ -83,13 +83,13 @@ proptest! {
     #[test]
     fn dense_gain_is_linear(gain in 0.1f32..3.0, seed in any::<u64>()) {
         let conn = DenseConnection::random(30, 10, 0.3, 0.0, 1.0, seed);
-        let spikes: Vec<f32> = (0..30).map(|i| if i % 3 == 0 { 1.0 } else { 0.0 }).collect();
+        let spiking: Vec<usize> = (0..30).step_by(3).collect();
         let mut base = vec![0.0f32; 10];
-        conn.forward_into(&spikes, &mut base);
+        conn.forward_spiking(&spiking, &mut base);
         let mut scaled_conn = conn.clone();
         scaled_conn.gain = gain;
         let mut scaled = vec![0.0f32; 10];
-        scaled_conn.forward_into(&spikes, &mut scaled);
+        scaled_conn.forward_spiking(&spiking, &mut scaled);
         for (b, s) in base.iter().zip(&scaled) {
             prop_assert!((s - b * gain).abs() < 1e-4, "{s} vs {}", b * gain);
         }

@@ -70,7 +70,7 @@ impl Default for SolveOptions {
 /// breakpoints per neuron plus 2,250 steps), plans about 2.3·10⁵
 /// points, so this leaves over 100× headroom while refusing transients
 /// whose step or PULSE period vanishes.
-pub const MAX_TRAN_POINTS: usize = 1 << 25;
+const MAX_TRAN_POINTS: usize = 1 << 25;
 
 /// Transient analysis request.
 ///
@@ -755,7 +755,7 @@ impl Circuit {
     ///
     /// # Errors
     /// [`Error::InvalidAnalysis`] if the analysis would plan more than
-    /// [`MAX_TRAN_POINTS`] time points;
+    /// 2²⁵ time points;
     /// [`Error::Convergence`] if a step fails even at the minimum step size;
     /// [`Error::Singular`] for structurally broken circuits.
     pub fn tran(&self, spec: &TranSpec) -> Result<TranResult> {

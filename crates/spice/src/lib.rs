@@ -18,9 +18,8 @@
 //! * **Transient analysis** ([`TranSpec`]) on one fixed-step path:
 //!   backward-Euler companion models, the base step clipped to land on
 //!   source breakpoints, and automatic step halving when Newton fails to
-//!   converge. A request that plans more than
-//!   [`circuit::MAX_TRAN_POINTS`] steps and breakpoints is refused
-//!   before it runs.
+//!   converge. A request that plans more than 2²⁵ steps and breakpoints
+//!   is refused before it runs.
 //! * An **EKV-style MOSFET compact model** ([`device::MosModel`]): a single
 //!   smooth equation covering subthreshold, triode and saturation, with
 //!   analytic derivatives (crucial for the slow membrane-voltage ramps of

@@ -5,34 +5,21 @@
 //! quantities the paper reports: spike times, inter-spike periods,
 //! extrema and window averages.
 
-/// Which edge of a level crossing to detect.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Edge {
-    /// Value crosses the level from below.
-    Rising,
-    /// Value crosses the level from above.
-    Falling,
-}
-
-/// Times at which `values` crosses `level` on the given `edge`, linearly
+/// Times at which `values` crosses `level` from below, linearly
 /// interpolated between samples.
 ///
 /// # Panics
 /// Panics if `times` and `values` have different lengths.
-fn crossings(times: &[f64], values: &[f64], level: f64, edge: Edge) -> Vec<f64> {
+fn crossings(times: &[f64], values: &[f64], level: f64) -> Vec<f64> {
     assert_eq!(times.len(), values.len(), "times/values length mismatch");
     let mut out = Vec::new();
     for (tw, vw) in times.windows(2).zip(values.windows(2)) {
         let (&[t0, t1], &[v0, v1]) = (tw, vw) else {
             continue;
         };
-        // NaN samples compare false on both edges, so a non-finite
-        // glitch in the waveform never fabricates a crossing.
-        let hit = match edge {
-            Edge::Rising => v0 < level && v1 >= level,
-            Edge::Falling => v0 > level && v1 <= level,
-        };
-        if hit {
+        // NaN samples compare false, so a non-finite glitch in the
+        // waveform never fabricates a crossing.
+        if v0 < level && v1 >= level {
             let frac = if (v1 - v0).abs() < f64::MIN_POSITIVE {
                 0.0
             } else {
@@ -46,7 +33,7 @@ fn crossings(times: &[f64], values: &[f64], level: f64, edge: Edge) -> Vec<f64> 
 
 /// Rising-edge spike times: crossings of `threshold` from below.
 pub fn spike_times(times: &[f64], values: &[f64], threshold: f64) -> Vec<f64> {
-    crossings(times, values, threshold, Edge::Rising)
+    crossings(times, values, threshold)
 }
 
 /// Mean period between consecutive spikes, if at least two spikes exist.
@@ -142,18 +129,17 @@ mod tests {
     #[test]
     fn rising_crossing_interpolates() {
         let (t, v) = ramp();
-        let c = crossings(&t, &v, 0.55, Edge::Rising);
+        let c = crossings(&t, &v, 0.55);
         assert_eq!(c.len(), 1);
         assert!((c[0] - 5.5).abs() < 1e-12);
     }
 
+    /// A falling crossing is no spike: only rising edges count.
     #[test]
     fn falling_crossing() {
         let times: Vec<f64> = (0..=10).map(|i| i as f64).collect();
         let values: Vec<f64> = times.iter().map(|&t| 1.0 - t * 0.1).collect();
-        let c = crossings(&times, &values, 0.35, Edge::Falling);
-        assert_eq!(c.len(), 1);
-        assert!((c[0] - 6.5).abs() < 1e-12);
+        assert!(crossings(&times, &values, 0.35).is_empty());
     }
 
     #[test]
@@ -227,10 +213,9 @@ mod tests {
         let t: Vec<f64> = (0..6).map(|i| i as f64).collect();
         let v = [0.0, f64::NAN, 0.0, 0.0, 1.0, 1.0];
         // Only the genuine 0→1 edge at t ∈ [3,4] is reported.
-        let c = crossings(&t, &v, 0.5, Edge::Rising);
+        let c = crossings(&t, &v, 0.5);
         assert_eq!(c.len(), 1);
         assert!((c[0] - 3.5).abs() < 1e-12);
-        assert!(crossings(&t, &v, 0.5, Edge::Falling).is_empty());
     }
 
     #[test]
@@ -245,7 +230,7 @@ mod tests {
     #[test]
     fn degenerate_waveforms_dont_panic() {
         // Empty and single-sample waveforms flow through every helper.
-        assert!(crossings(&[], &[], 0.5, Edge::Rising).is_empty());
+        assert!(crossings(&[], &[], 0.5).is_empty());
         assert!(mean_spike_period(&[0.0], &[1.0], 0.5).is_none());
         assert!(spike_times(&[], &[], 0.5).is_empty());
         assert!(average_in(&[0.0], &[1.0], 0.0, 1.0).is_none());
