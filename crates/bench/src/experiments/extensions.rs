@@ -20,12 +20,13 @@ fn setup(fidelity: Fidelity) -> ExperimentSetup {
 /// Extension: transient-glitch duty sweep — how long must a VDD = 0.8 V
 /// glitch last (as a fraction of training) to do Attack-5 damage?
 pub fn glitch(fidelity: Fidelity) -> Result<Table, Error> {
-    let setup = setup(fidelity);
     let duties: Vec<f64> = match fidelity {
         Fidelity::Quick => vec![0.0, 0.5, 1.0],
         Fidelity::Full => vec![0.0, 0.1, 0.25, 0.5, 0.75, 1.0],
     };
-    let rows = glitch_duty_sweep(&setup, 0.8, &duties)?;
+    // The figures' cache: the same seed-42 setup, so the duties read its
+    // memoised inputs and the 0% duty its baseline.
+    let rows = glitch_duty_sweep(super::network::shared_cache(fidelity), 0.8, &duties)?;
     let baseline = rows[0].1;
     let mut table = Table::new(
         "Extension — transient VDD glitch (0.8 V) duty vs accuracy",

@@ -20,10 +20,10 @@ fn setup(fidelity: Fidelity) -> ExperimentSetup {
     }
 }
 
-/// Per-fidelity baseline cache shared by every sweep experiment in this
-/// process: `repro all` trains each per-seed fault-free baseline once
-/// instead of once per figure.
-fn shared_cache(fidelity: Fidelity) -> &'static BaselineCache {
+/// Per-fidelity baseline cache shared by every sweep experiment and the
+/// glitch extension in this process: `repro all` builds seed 42's inputs
+/// and trains its fault-free baseline once instead of once per table.
+pub(super) fn shared_cache(fidelity: Fidelity) -> &'static BaselineCache {
     static QUICK: OnceLock<BaselineCache> = OnceLock::new();
     static FULL: OnceLock<BaselineCache> = OnceLock::new();
     match fidelity {

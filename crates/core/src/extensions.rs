@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use crate::attacks::{AttackOutcome, ExperimentSetup, RunMeasurement};
 use crate::error::Error;
 use crate::injection::FaultPlan;
-use crate::sweep::PROCESS_INPUT_BUDGET;
+use crate::sweep::{run_indexed, BaselineCache, PROCESS_INPUT_BUDGET};
 use crate::threat::AttackKind;
 use neurofi_analog::PowerTransferTable;
 use neurofi_snn::diehl_cook::DiehlCook2015;
@@ -126,9 +126,10 @@ impl WeightFaultAttack {
 }
 
 /// Runs every attack against one cleanly trained network: trains and
-/// evaluates it once, then corrupts and evaluates a copy per attack.
-/// Each copy starts from the state just after the clean evaluation, so
-/// an outcome does not depend on which other attacks run beside it.
+/// evaluates it once, then corrupts and evaluates a copy per attack, the
+/// copies on a pool of `setup.parallelism` workers. Each copy starts
+/// from the state just after the clean evaluation, so an outcome does
+/// not depend on which other attacks run beside it or on the schedule.
 ///
 /// # Errors
 /// Reserved; currently always succeeds.
@@ -147,9 +148,12 @@ pub fn weight_fault_sweep(
         mean_activity: report.mean_activity,
         silent_fraction: report.silent_fraction,
     };
-    let outcome = |attack: &WeightFaultAttack| {
+    let outcomes = run_indexed(attacks.len(), setup.parallelism, |i| {
         let mut corrupted = net.clone();
-        attack.corrupt(&mut corrupted);
+        attacks[i].corrupt(&mut corrupted);
+        // Each task borrows the sets itself: `dyn Presentations` is not
+        // `Sync`.
+        let (_, test_set) = inputs.sets();
         let attacked_accuracy = evaluate(&mut corrupted, &report.assignments, test_set, n_classes);
         AttackOutcome {
             kind: AttackKind::InputSpikeCorruption, // nearest taxonomy entry
@@ -162,8 +166,8 @@ pub fn weight_fault_sweep(
             },
             plan: FaultPlan::none(),
         }
-    };
-    Ok(attacks.iter().map(outcome).collect())
+    });
+    Ok(outcomes)
 }
 
 /// Extension attack: a *transient* supply glitch — the VDD fault is
@@ -267,35 +271,43 @@ impl TransientGlitchAttack {
 /// duty at the same VDD — the natural question a glitch-rig adversary
 /// asks ("how long must the glitch last?").
 ///
-/// Returns `(duty, accuracy)` rows including duty 1.0 (persistent). The
-/// seed's inputs are built once; a duty that rounds to no glitched
-/// sample reads the fault-free baseline, trained at most once, and every
-/// other duty trains only its glitched network.
+/// Returns `(duty, accuracy)` rows including duty 1.0 (persistent), for
+/// the seed of the cache's setup. Every duty reads the seed's inputs
+/// memoised in `cache`; a duty that rounds to no glitched sample reads
+/// the cache's fault-free baseline, and every other duty trains only its
+/// glitched network. The duties run on a pool of the setup's
+/// [`Parallelism`](crate::sweep::Parallelism) workers.
 ///
 /// # Errors
 /// Propagates experiment failures.
+///
+/// # Panics
+/// Panics if a duty is outside `[0, 1]`.
 pub fn glitch_duty_sweep(
-    setup: &ExperimentSetup,
+    cache: &BaselineCache,
     vdd: f64,
     duties: &[f64],
 ) -> Result<Vec<(f64, f64)>, Error> {
-    let inputs = setup.inputs(&PROCESS_INPUT_BUDGET);
-    let (train_set, test_set) = inputs.sets();
-    let mut baseline = None;
-    let mut rows = Vec::new();
-    for &duty in duties {
-        assert!((0.0..=1.0).contains(&duty), "duty must be within [0, 1]");
+    for duty in duties {
+        assert!((0.0..=1.0).contains(duty), "duty must be within [0, 1]");
+    }
+    // The cache runs a seed as `with_seed(seed)`, so its inputs and
+    // baseline are those of this setup.
+    let seed = cache.setup().network_seed;
+    let setup = cache.setup().with_seed(seed);
+    let inputs = cache.seed_inputs(&setup);
+    let rows = run_indexed(duties.len(), setup.parallelism, |i| {
+        let duty = duties[i];
         let to = ((setup.n_train as f64) * duty).round() as usize;
         let accuracy = if to == 0 {
-            baseline
-                .get_or_insert_with(|| setup.run_on(train_set, test_set, &FaultPlan::none()))
-                .accuracy
+            cache.get(seed).accuracy
         } else {
+            let (train_set, test_set) = inputs.sets();
             let attack = TransientGlitchAttack::new(vdd, 0, to);
-            attack.run_on(setup, train_set, test_set).0.accuracy
+            attack.run_on(&setup, train_set, test_set).0.accuracy
         };
-        rows.push((duty, accuracy));
-    }
+        (duty, accuracy)
+    });
     Ok(rows)
 }
 
@@ -382,7 +394,7 @@ mod tests {
     #[test]
     fn glitch_duty_sweep_equals_per_duty_runs() {
         let setup = tiny_setup();
-        let rows = glitch_duty_sweep(&setup, 0.8, &[0.0, 0.3, 1.0]).unwrap();
+        let rows = glitch_duty_sweep(&BaselineCache::new(&setup), 0.8, &[0.0, 0.3, 1.0]).unwrap();
         let glitched = |to| {
             let attack = TransientGlitchAttack::new(0.8, 0, to);
             attack.run(&setup).unwrap().attacked_accuracy

@@ -165,27 +165,77 @@ impl FaultPlan {
         (0..k.min(n)).collect()
     }
 
-    /// Applies the plan to a network (on top of its current state; use
-    /// [`DiehlCook2015::clear_faults`] first for a clean slate).
+    /// The values this plan writes into the fault hooks of a network of
+    /// `n_excitatory` and `n_inhibitory` neurons: every hook starts
+    /// nominal (scale 1, gain 1), each threshold fault in order
+    /// overrides its layer's first `round(fraction·n)` scales, and a
+    /// drive fault sets the gain. [`FaultPlan::apply`] writes exactly
+    /// these values, so two plans with equal values leave a network in
+    /// the same state.
+    pub(crate) fn hook_values(&self, n_excitatory: usize, n_inhibitory: usize) -> HookValues {
+        let mut values = HookValues {
+            excitatory: vec![1.0; n_excitatory],
+            inhibitory: vec![1.0; n_inhibitory],
+            gain: 1.0,
+        };
+        for fault in &self.thresholds {
+            let scales = match fault.layer {
+                TargetLayer::Excitatory => &mut values.excitatory,
+                TargetLayer::Inhibitory => &mut values.inhibitory,
+            };
+            let scale = (1.0 + fault.rel_change) as f32;
+            for idx in Self::affected_indices(scales.len(), fault.fraction) {
+                scales[idx] = scale;
+            }
+        }
+        if let Some(drive) = &self.drive {
+            values.gain = drive.scale as f32;
+        }
+        values
+    }
+
+    /// Sets all three of the network's fault hooks to the values this
+    /// plan computes for its layer sizes, overwriting whatever they
+    /// held: a hook the plan does not fault is reset to nominal.
     ///
     /// A threshold fault scales the *signed* biological threshold
     /// (−52 mV → −41.6 mV for −20%), exactly as the paper applies its
     /// sweep to BindsNET's parameters: a negative change moves the
     /// threshold toward 0 mV and makes neurons *harder* to fire.
     pub fn apply(&self, net: &mut DiehlCook2015) {
-        for fault in &self.thresholds {
-            let layer = match fault.layer {
-                TargetLayer::Excitatory => &mut net.excitatory,
-                TargetLayer::Inhibitory => &mut net.inhibitory,
-            };
-            let scale = (1.0 + fault.rel_change) as f32;
-            for idx in Self::affected_indices(layer.len(), fault.fraction) {
-                layer.threshold_scale[idx] = scale;
-            }
-        }
-        if let Some(drive) = &self.drive {
-            net.input_to_exc.gain = drive.scale as f32;
-        }
+        let values = self.hook_values(net.excitatory.len(), net.inhibitory.len());
+        net.excitatory
+            .threshold_scale
+            .copy_from_slice(&values.excitatory);
+        net.inhibitory
+            .threshold_scale
+            .copy_from_slice(&values.inhibitory);
+        net.input_to_exc.gain = values.gain;
+    }
+}
+
+/// The values a [`FaultPlan`] writes into a network's three fault hooks:
+/// each layer's per-neuron `threshold_scale` and the input drive `gain`.
+/// A training run is a pure function of its setup, its seed and these
+/// values.
+#[derive(Debug)]
+pub(crate) struct HookValues {
+    excitatory: Vec<f32>,
+    inhibitory: Vec<f32>,
+    gain: f32,
+}
+
+impl HookValues {
+    /// Every value's bit pattern, in hook order: equal keys are equal
+    /// network states (bits, so `-0.0` and `0.0`, or two NaNs, are never
+    /// confused).
+    pub(crate) fn key(&self) -> Vec<u32> {
+        self.excitatory
+            .iter()
+            .chain(&self.inhibitory)
+            .chain(std::iter::once(&self.gain))
+            .map(|v| v.to_bits())
+            .collect()
     }
 }
 
@@ -234,6 +284,34 @@ mod tests {
             .threshold_scale
             .iter()
             .all(|&s| (s - 1.1).abs() < 1e-6));
+    }
+
+    #[test]
+    fn apply_writes_the_plan_hook_values_over_any_earlier_faults() {
+        let plan = FaultPlan::layer_threshold(TargetLayer::Inhibitory, -0.2, 0.4);
+        let mut fresh = net();
+        plan.apply(&mut fresh);
+        let mut faulted = net();
+        FaultPlan::both_layer_threshold(0.1).apply(&mut faulted);
+        FaultPlan::drive_only(0.8).apply(&mut faulted);
+        plan.apply(&mut faulted);
+        let (n_exc, n_inh) = (fresh.excitatory.len(), fresh.inhibitory.len());
+        let values = plan.hook_values(n_exc, n_inh);
+        for n in [&fresh, &faulted] {
+            assert_eq!(n.excitatory.threshold_scale, values.excitatory);
+            assert_eq!(n.inhibitory.threshold_scale, values.inhibitory);
+            assert_eq!(n.input_to_exc.gain, 1.0);
+        }
+        // Plans that write the same values share a key; a 0% fraction
+        // and a unit drive scale are the fault-free state.
+        let none = FaultPlan::none().hook_values(n_exc, n_inh).key();
+        for same in [
+            FaultPlan::layer_threshold(TargetLayer::Excitatory, -0.2, 0.0),
+            FaultPlan::drive_only(1.0),
+        ] {
+            assert_eq!(same.hook_values(n_exc, n_inh).key(), none);
+        }
+        assert_ne!(values.key(), none);
     }
 
     #[test]

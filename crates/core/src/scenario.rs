@@ -1154,7 +1154,7 @@ impl ScenarioSpec {
     ///
     /// Planning never fails for validated specs — invalid parameter
     /// values are rejected by [`ScenarioSpec::validate`] up front and
-    /// by [`execute_cell`](crate::sweep::execute_cell) per cell (jobs
+    /// by [`execute_cells`](crate::sweep::execute_cells) per job (jobs
     /// may arrive over a wire).
     ///
     /// # Panics

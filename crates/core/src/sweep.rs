@@ -1,11 +1,12 @@
 //! Grid-sweep engine regenerating the paper's accuracy surfaces
 //! (Figs. 7b, 8a, 8b, 8c, 9a) — and any N-axis scenario beyond them.
 //!
-//! Every sweep is an embarrassingly parallel grid: each cell replays a
-//! full train-and-evaluate experiment, so the engine flattens a grid
-//! into independent cell jobs and runs them on a zero-dependency
-//! work-stealing pool ([`std::thread::scope`] workers pulling indices
-//! from an atomic cursor). Three properties make the parallel path safe:
+//! Every sweep is an embarrassingly parallel grid: each network cell is
+//! a full train-and-evaluate experiment under its fault, so the engine
+//! flattens a grid into independent cell jobs and runs them on a
+//! zero-dependency work-stealing pool ([`std::thread::scope`] workers
+//! pulling indices from an atomic cursor). Four properties make the
+//! parallel path safe and keep it from repeating work:
 //!
 //! * **Per-cell deterministic seeding** — every cell derives its
 //!   experiments purely from `(setup, seed, cell parameters)`, never from
@@ -13,15 +14,25 @@
 //! * **Slot writes** — each job writes only its own result slot, so the
 //!   assembled [`SweepResult`] is bit-identical to a serial run regardless
 //!   of scheduling.
+//! * **One run per distinct fault state** — a training run is a pure
+//!   function of the setup, the seed and the values the cell's
+//!   [`FaultPlan`] writes into the network's fault hooks (each layer's
+//!   threshold scales and the input drive gain). [`execute_cells`] keys
+//!   a batch's runs by those values, bit for bit, and trains each
+//!   distinct `(seed, state)` once: cells that differ only in a sensor
+//!   (the detector axis) or in a defense that leaves the plan unchanged
+//!   read one run. Nothing of it outlives the call.
 //! * **Memoised baselines and inputs** — the per-seed fault-free
 //!   baseline and each layer design's nominal-supply reference are
-//!   computed once in a [`BaselineCache`] and shared across every cell
-//!   and every attack kind. So are each seed's inputs: its train and test
-//!   labels and every image's Poisson input raster, which no fault
-//!   changes (≈13 MiB per seed at paper scale, ≈3.4 MiB at quick scale).
-//!   Every pre-encoded input in a process counts against one fixed
-//!   budget of 256 MiB; a seed is memoised while it fits, and a seed
-//!   that does not fit runs per sample.
+//!   computed once in a [`BaselineCache`] and shared across every cell,
+//!   every batch and every attack kind; a cell whose state is fault-free
+//!   (a 0% fraction, the nominal supply, a zero theta change) reads its
+//!   seed's baseline instead of training. So are each seed's inputs: its
+//!   train and test labels and every image's Poisson input raster, which
+//!   no fault changes (≈13 MiB per seed at paper scale, ≈3.4 MiB at
+//!   quick scale). Every pre-encoded input in a process counts against
+//!   one fixed budget of 256 MiB; a seed is memoised while it fits, and a
+//!   seed that does not fit runs per sample.
 //!
 //! The degree of parallelism is a property of the experiment
 //! ([`ExperimentSetup::parallelism`], a [`Parallelism`] knob), defaulting
@@ -43,9 +54,10 @@
 //!    [`ScenarioSpec::theta`] / [`ScenarioSpec::vdd`] presets; custom
 //!    cross products (e.g. threshold × VDD) go through the same planner
 //!    with no engine changes.
-//! 2. **Execute** — [`execute_cell`] runs one [`CellJob`] against a
-//!    [`BaselineCache`] and returns a [`CellResult`]; cells are
-//!    independent and may run anywhere, in any order. A job's
+//! 2. **Execute** — [`execute_cells`] runs a batch of [`CellJob`]s
+//!    against a [`BaselineCache`] and returns one [`CellResult`] per job
+//!    ([`execute_cell`] is its one-job form); cells are independent and
+//!    may run anywhere, in any order, in batches of any size. A job's
 //!    [`CellAttack`] is a *resolved composite*: its threshold, theta,
 //!    and VDD components stack into one [`FaultPlan`].
 //! 3. **Assemble** — [`assemble_sweep`] writes each [`CellResult`] into
@@ -56,7 +68,8 @@
 //!
 //! Because a cell's value is a pure function of `(setup, job)` and
 //! assembly is slot-addressed, any schedule — serial, threaded, or
-//! sharded across machines — produces a bit-identical [`SweepResult`].
+//! sharded across machines, batched any way — produces a bit-identical
+//! [`SweepResult`].
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -166,7 +179,10 @@ pub(crate) static PROCESS_INPUT_BUDGET: InputBudget = InputBudget::new(INPUT_BUD
 /// design `(neurons, defense)` is measured against the same layer at the
 /// nominal supply. The cache computes each one once (seeds in parallel
 /// when primed with several) and hands out copies, and is safe to share
-/// across threads. Errors are returned, never memoised.
+/// across threads. Errors are returned, never memoised. A network cell
+/// whose fault plan leaves the network fault-free reads its seed's
+/// baseline from here ([`execute_cells`]); no attacked run is memoised,
+/// so every batch of cells trains its own.
 ///
 /// Every run of a seed — its baseline and every network cell — also
 /// reads the same inputs: the seed's train and test labels and each
@@ -189,6 +205,9 @@ pub struct BaselineCache {
     /// `input_budget`.
     inputs: Mutex<BTreeMap<u64, Arc<SeedInputs>>>,
     input_budget: &'static InputBudget,
+    /// Training runs made through [`BaselineCache::run`].
+    #[cfg(test)]
+    trainings: AtomicUsize,
 }
 
 impl BaselineCache {
@@ -210,6 +229,8 @@ impl BaselineCache {
             layer_references: Mutex::new(BTreeMap::new()),
             inputs: Mutex::new(BTreeMap::new()),
             input_budget,
+            #[cfg(test)]
+            trainings: AtomicUsize::new(0),
         }
     }
 
@@ -276,6 +297,8 @@ impl BaselineCache {
     /// Trains and evaluates `seed` under `plan` on the seed's memoised
     /// inputs. Bit-identical to `setup.with_seed(seed).run_with_plan(plan)`.
     fn run(&self, seed: u64, plan: &FaultPlan) -> RunMeasurement {
+        #[cfg(test)]
+        self.trainings.fetch_add(1, Ordering::Relaxed);
         let setup = self.setup.with_seed(seed);
         let inputs = self.seed_inputs(&setup);
         let (train_set, test_set) = inputs.sets();
@@ -287,7 +310,7 @@ impl BaselineCache {
     /// the lock, a racing duplicate keeps the identical first copy (the
     /// duplicate's bytes return to the budget), and a build that panics
     /// memoises nothing.
-    fn seed_inputs(&self, setup: &ExperimentSetup) -> Arc<SeedInputs> {
+    pub(crate) fn seed_inputs(&self, setup: &ExperimentSetup) -> Arc<SeedInputs> {
         let seed = setup.network_seed;
         if let Some(hit) = self.inputs.lock().expect("cache poisoned").get(&seed) {
             return Arc::clone(hit);
@@ -610,24 +633,6 @@ fn finish_cell(rel_change: f64, fraction: f64, accuracy: f64, baseline_accuracy:
     }
 }
 
-/// Measures one grid cell: trains and evaluates under `plan` for every
-/// seed, on the seed's memoised inputs, and averages the attacked
-/// accuracies.
-fn measure_cell(
-    cache: &BaselineCache,
-    seeds: &[u64],
-    rel_change: f64,
-    fraction: f64,
-    baseline_accuracy: f64,
-    plan: &FaultPlan,
-) -> SweepCell {
-    let accuracies: Vec<f64> = seeds
-        .iter()
-        .map(|&seed| cache.run(seed, plan).accuracy)
-        .collect();
-    finish_cell(rel_change, fraction, mean(&accuracies), baseline_accuracy)
-}
-
 /// Validates one wire-crossing [`CellAttack`] and stacks its components
 /// into a [`FaultPlan`]. Component order is fixed (VDD table faults,
 /// then the theta drive scale on top, then the threshold override), so
@@ -761,10 +766,14 @@ fn compose_fault_plan(
     Ok(plan)
 }
 
-/// Stage 2 (execute): measures one [`CellJob`] against a
-/// [`BaselineCache`]. Cells with a VDD component need the `transfer`
-/// table the campaign was characterised with. A cell with a `seed`
-/// override measures that single seed; others average over `seeds`.
+/// Stage 2 (execute), one job: measures one [`CellJob`] against a
+/// [`BaselineCache`], on the calling thread. The one-job form of
+/// [`execute_cells`], with the same result bit for bit: cells with a
+/// VDD component need the `transfer` table the campaign was
+/// characterised with, a cell with a `seed` override measures that
+/// single seed and others average over `seeds`, and a cell whose fault
+/// plan leaves the network fault-free reads the seed's memoised
+/// baseline instead of training.
 ///
 /// Jobs are validated rather than trusted (they may arrive over a wire):
 /// impossible parameters and family/component mismatches are rejected as
@@ -780,26 +789,143 @@ pub fn execute_cell(
     job: &CellJob,
     transfer: Option<&PowerTransferTable>,
 ) -> Result<CellResult, Error> {
-    let plan = compose_fault_plan(&job.attack, transfer, job.index)?;
-    if job.attack.neurons.is_some() {
-        // A layer-netlist cell validated like any other (above) but
-        // measures the actual analog layer, not the accuracy model.
-        return execute_layer_cell(cache, job);
-    }
-    let seed_override;
-    let seeds = match job.attack.seed {
-        Some(seed) => {
-            seed_override = [seed];
-            &seed_override[..]
-        }
-        None => seeds,
+    let mut results = execute_cells(
+        cache,
+        seeds,
+        baseline_accuracy,
+        std::slice::from_ref(job),
+        transfer,
+        Parallelism::Serial,
+    );
+    results.pop().expect("one result per job")
+}
+
+/// One task of [`execute_cells`]'s pool.
+enum Task<'a> {
+    /// One distinct `(seed, fault state)`: a training run under `plan`,
+    /// or the seed's memoised baseline when the state is fault-free
+    /// (`plan` is `None`).
+    Network {
+        seed: u64,
+        plan: Option<&'a FaultPlan>,
+    },
+    /// One layer-netlist cell: validated like any other job, but it
+    /// measures the analog layer, not the accuracy model.
+    Layer(&'a CellJob),
+}
+
+/// What one [`Task`] measured.
+enum Measured {
+    /// A network run's accuracy.
+    Accuracy(f64),
+    /// A layer cell, finished.
+    Layer(Result<CellResult, Error>),
+}
+
+/// Stage 2 (execute), a batch: measures every job of `jobs` against a
+/// [`BaselineCache`] on a pool of `parallelism` workers and returns one
+/// result per job, in job order — each equal bit for bit to
+/// [`execute_cell`] on that job, with the same error for a job it
+/// rejects.
+///
+/// A network cell trains under its fault plan once per seed, and a run
+/// is a pure function of the setup, the seed and the values the plan
+/// writes into the network's fault hooks (each layer's threshold scales
+/// and the drive gain). So the batch trains each distinct
+/// `(seed, hook values)` once, compared bit for bit, and every cell
+/// that leaves the network in that state reads the one run: the 0%
+/// column of a threshold grid, the detector axis (a sensor that changes
+/// no parameter), a defense whose plan equals another's. A state equal
+/// to the fault-free one is not trained at all: it reads the seed's
+/// baseline from the cache. Each cell is then finished from its own
+/// seeds' accuracies, in its own seed order. Layer cells run on the
+/// same pool. Nothing is memoised past the call.
+pub fn execute_cells(
+    cache: &BaselineCache,
+    seeds: &[u64],
+    baseline_accuracy: f64,
+    jobs: &[CellJob],
+    transfer: Option<&PowerTransferTable>,
+    parallelism: Parallelism,
+) -> Vec<Result<CellResult, Error>> {
+    let plans: Vec<Result<FaultPlan, Error>> = jobs
+        .iter()
+        .map(|job| compose_fault_plan(&job.attack, transfer, job.index))
+        .collect();
+    let network = &cache.setup().network;
+    let state = |plan: &FaultPlan| {
+        plan.hook_values(network.n_excitatory, network.n_inhibitory)
+            .key()
     };
-    let (rel_change, fraction) = job.attack.coordinates();
-    let cell = measure_cell(cache, seeds, rel_change, fraction, baseline_accuracy, &plan);
-    Ok(CellResult {
-        index: job.index,
-        cell,
-    })
+    let fault_free = state(&FaultPlan::none());
+    let mut tasks: Vec<Task> = Vec::new();
+    let mut distinct: BTreeMap<(u64, Vec<u32>), usize> = BTreeMap::new();
+    // Each job's tasks: its layer task, or one run per seed in its seed
+    // order (none for a job that failed to compose).
+    let mut job_tasks: Vec<Vec<usize>> = Vec::with_capacity(jobs.len());
+    for (job, plan) in jobs.iter().zip(&plans) {
+        let Ok(plan) = plan else {
+            job_tasks.push(Vec::new());
+            continue;
+        };
+        if job.attack.neurons.is_some() {
+            tasks.push(Task::Layer(job));
+            job_tasks.push(vec![tasks.len() - 1]);
+            continue;
+        }
+        let key = state(plan);
+        let plan = (key != fault_free).then_some(plan);
+        let job_seeds = match &job.attack.seed {
+            Some(seed) => std::slice::from_ref(seed),
+            None => seeds,
+        };
+        let ids = job_seeds
+            .iter()
+            .map(|&seed| {
+                *distinct.entry((seed, key.clone())).or_insert_with(|| {
+                    tasks.push(Task::Network { seed, plan });
+                    tasks.len() - 1
+                })
+            })
+            .collect();
+        job_tasks.push(ids);
+    }
+    let mut measured: Vec<Option<Measured>> = run_indexed(tasks.len(), parallelism, |i| {
+        Some(match tasks[i] {
+            Task::Network {
+                seed,
+                plan: Some(plan),
+            } => Measured::Accuracy(cache.run(seed, plan).accuracy),
+            Task::Network { seed, plan: None } => Measured::Accuracy(cache.get(seed).accuracy),
+            Task::Layer(job) => Measured::Layer(execute_layer_cell(cache, job)),
+        })
+    });
+    jobs.iter()
+        .zip(plans)
+        .zip(job_tasks)
+        .map(|((job, plan), ids)| {
+            // A job that failed to compose keeps its error.
+            plan?;
+            if job.attack.neurons.is_some() {
+                return match ids.first().and_then(|&t| measured[t].take()) {
+                    Some(Measured::Layer(result)) => result,
+                    _ => unreachable!("a layer job owns one layer task"),
+                };
+            }
+            let accuracies: Vec<f64> = ids
+                .iter()
+                .map(|&t| match measured[t] {
+                    Some(Measured::Accuracy(accuracy)) => accuracy,
+                    _ => unreachable!("a network job's tasks are runs"),
+                })
+                .collect();
+            let (rel_change, fraction) = job.attack.coordinates();
+            Ok(CellResult {
+                index: job.index,
+                cell: finish_cell(rel_change, fraction, mean(&accuracies), baseline_accuracy),
+            })
+        })
+        .collect()
 }
 
 /// The layer netlist of layer design `(neurons, defense)`: the paper
@@ -1048,15 +1174,14 @@ pub fn scenario_sweep_cached(
     let transfer = spec.transfer_table()?;
     let plan = spec.plan();
     let baseline_accuracy = mean_baseline_accuracy(cache, &plan.seeds);
-    let measured = run_indexed(plan.jobs.len(), cache.setup().parallelism, |i| {
-        execute_cell(
-            cache,
-            &plan.seeds,
-            baseline_accuracy,
-            &plan.jobs[i],
-            transfer.as_ref(),
-        )
-    });
+    let measured = execute_cells(
+        cache,
+        &plan.seeds,
+        baseline_accuracy,
+        &plan.jobs,
+        transfer.as_ref(),
+        cache.setup().parallelism,
+    );
     let results = measured.into_iter().collect::<Result<Vec<_>, _>>()?;
     assemble_sweep(&plan, baseline_accuracy, results)
 }
@@ -1084,8 +1209,8 @@ mod tests {
         let cache = BaselineCache::new(&setup);
         let result = scenario_sweep_cached(&cache, &spec).unwrap();
         let cell = result.cell_at(&[0, 0]).unwrap();
-        assert!((cell.accuracy - result.baseline_accuracy).abs() < 1e-9);
-        assert!(cell.relative_change_percent.abs() < 1e-9);
+        assert_eq!(cell.accuracy.to_bits(), result.baseline_accuracy.to_bits());
+        assert_eq!(cell.relative_change_percent.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
@@ -1182,7 +1307,10 @@ mod tests {
         let cache = BaselineCache::new(&setup);
         let spec = ScenarioSpec::vdd(&[1.0], &transfer, &[1]);
         let result = scenario_sweep_cached(&cache, &spec).unwrap();
-        assert!((result.cells[0].accuracy - result.baseline_accuracy).abs() < 1e-9);
+        assert_eq!(
+            result.cells[0].accuracy.to_bits(),
+            result.baseline_accuracy.to_bits()
+        );
     }
 
     #[test]
@@ -1936,6 +2064,8 @@ mod tests {
     /// `run_with_plan` bit for bit: cold and warm under the default
     /// budget, under a budget that holds one seed (so the other runs per
     /// sample), and under a budget no seed fits (the unencoded path).
+    /// The cells run as one sweep, so its fault-free cells read the
+    /// seeds' baselines and a repeated state reads one shared run.
     #[test]
     fn memo_served_cells_equal_run_with_plan() {
         let mut setup = tiny_setup().with_parallelism(Parallelism::Serial);
@@ -1943,47 +2073,41 @@ mod tests {
         setup.n_test = 10;
         setup.network.sample_time_ms = 30.0;
         let table = PowerTransferTable::paper_nominal();
-        let cases: [(CellAttack, &[u64]); 5] = [
-            (
-                CellAttack::threshold(Some(TargetLayer::Inhibitory), -0.2, 0.5),
-                &[1],
-            ),
-            (CellAttack::theta(-0.1), &[1]),
-            (CellAttack::vdd(0.85), &[1]),
-            // A `seed`-axis cell: its override replaces the plan's seeds.
-            (
-                CellAttack {
-                    seed: Some(2),
-                    ..CellAttack::theta(0.1)
-                },
-                &[1, 2],
-            ),
-            // A two-seed cell.
-            (CellAttack::threshold(None, 0.1, 1.0), &[1, 2]),
+        // Every cell without a `seed` override averages both seeds.
+        let seeds = [1, 2];
+        let attacks = [
+            CellAttack::threshold(Some(TargetLayer::Inhibitory), -0.2, 0.5),
+            CellAttack::theta(-0.1),
+            CellAttack::vdd(0.85),
+            // A `seed`-axis cell: its override replaces the sweep's seeds.
+            CellAttack {
+                seed: Some(2),
+                ..CellAttack::theta(0.1)
+            },
+            CellAttack::threshold(None, 0.1, 1.0),
+            // Two fault-free cells: a 0% fraction and the nominal supply.
+            CellAttack::threshold(Some(TargetLayer::Excitatory), -0.2, 0.0),
+            CellAttack::vdd(1.0),
+            // A repeat of the 0.85 V cell's state: the detector changes
+            // no network parameter.
+            CellAttack {
+                detector: DetectorSel::DummyNeuron,
+                ..CellAttack::vdd(0.85)
+            },
         ];
-        let jobs: Vec<CellJob> = cases
-            .iter()
+        let jobs: Vec<CellJob> = attacks
+            .into_iter()
             .enumerate()
-            .map(|(index, &(attack, _))| CellJob { index, attack })
+            .map(|(index, attack)| CellJob { index, attack })
             .collect();
         let expected: Vec<[u64; 4]> = jobs
             .iter()
-            .zip(&cases)
-            .map(|(job, (attack, seeds))| {
-                let plan = compose_fault_plan(attack, Some(&table), job.index).unwrap();
-                let seeds = attack.seed.map_or(seeds.to_vec(), |s| vec![s]);
-                let accuracies: Vec<f64> = seeds
-                    .iter()
-                    .map(|&s| setup.with_seed(s).run_with_plan(&plan).accuracy)
-                    .collect();
-                let (rel_change, fraction) = attack.coordinates();
-                cell_bits(&finish_cell(rel_change, fraction, mean(&accuracies), 0.5))
-            })
+            .map(|job| cell_bits(&defined_cell(&setup, &seeds, 0.5, job, &table)))
             .collect();
         let served = |cache: &BaselineCache, pass: &str| {
-            for (job, (want, (_, seeds))) in jobs.iter().zip(expected.iter().zip(&cases)) {
-                let got = execute_cell(cache, seeds, 0.5, job, Some(&table)).unwrap();
-                assert_eq!(&cell_bits(&got.cell), want, "{pass}: {job:?}");
+            let sweep = execute_cells(cache, &seeds, 0.5, &jobs, Some(&table), Parallelism::Serial);
+            for ((job, want), got) in jobs.iter().zip(&expected).zip(sweep) {
+                assert_eq!(&cell_bits(&got.unwrap().cell), want, "{pass}: {job:?}");
             }
         };
         let memo_seeds = |cache: &BaselineCache| -> Vec<u64> {
@@ -1994,12 +2118,11 @@ mod tests {
         served(&cache, "cold");
         served(&cache, "warm");
         assert_eq!(memo_seeds(&cache), [1, 2]);
-        // Baselines are counted, memoised inputs are not.
-        assert!(cache.is_empty());
-        cache.get(1);
-        assert_eq!(cache.len(), 1);
+        // The fault-free cells read (and so memoised) both seeds'
+        // baselines; memoised inputs are not counted.
+        assert_eq!(cache.len(), 2);
 
-        let one_seed = [1, 2]
+        let one_seed = seeds
             .map(|s| reserved_bytes(&setup.with_seed(s)))
             .into_iter()
             .max()
@@ -2007,7 +2130,7 @@ mod tests {
         let budget = leaked_budget(one_seed * 3 / 2);
         let cache = BaselineCache::with_input_budget(&setup, budget);
         served(&cache, "one seed fits");
-        // The first cell read seed 1, which filled the budget; seed 2 ran
+        // The first run read seed 1, which filled the budget; seed 2 ran
         // per sample.
         assert_eq!(memo_seeds(&cache), [1]);
         assert_eq!(budget.held(), reserved_bytes(&setup.with_seed(1)));
@@ -2017,6 +2140,119 @@ mod tests {
         let cache = BaselineCache::with_input_budget(&setup, leaked_budget(one_seed / 2));
         served(&cache, "over budget");
         assert!(memo_seeds(&cache).is_empty());
+    }
+
+    /// A network job's cell by definition: `run_with_plan` per seed, with
+    /// no input memo, no baseline and no run shared with another cell.
+    fn defined_cell(
+        setup: &ExperimentSetup,
+        seeds: &[u64],
+        baseline_accuracy: f64,
+        job: &CellJob,
+        table: &PowerTransferTable,
+    ) -> SweepCell {
+        let attack = &job.attack;
+        let plan = compose_fault_plan(attack, Some(table), job.index).unwrap();
+        let seeds = attack.seed.map_or(seeds.to_vec(), |s| vec![s]);
+        let accuracies: Vec<f64> = seeds
+            .iter()
+            .map(|&s| setup.with_seed(s).run_with_plan(&plan).accuracy)
+            .collect();
+        let (rel_change, fraction) = attack.coordinates();
+        finish_cell(rel_change, fraction, mean(&accuracies), baseline_accuracy)
+    }
+
+    /// One batch holding every source of repeated network states: the
+    /// detector axis, `sized_neuron` beside `none`, the nominal supply
+    /// under every defense, a 0% fraction, a zero theta change and a
+    /// `seed`-axis cell repeating another cell's run, beside a job that
+    /// fails to compose. Every slot equals `execute_cell` on its job bit
+    /// for bit (which shares no run across cells) and the cell's
+    /// per-sample definition (which shares nothing), and exactly the
+    /// distinct non-fault-free states train.
+    #[test]
+    fn execute_cells_train_each_distinct_fault_state_once() {
+        let mut setup = tiny_setup().with_parallelism(Parallelism::Threads(2));
+        setup.n_train = 20;
+        setup.n_test = 10;
+        setup.network.sample_time_ms = 30.0;
+        let table = PowerTransferTable::paper_nominal();
+        let seeds = [1, 2];
+        let mut vdd_grid = ScenarioSpec::vdd(&[0.8, 1.0, 1.2], &table, &seeds);
+        vdd_grid.axes.push(Axis::defenses(vec![
+            DefenseSel::None,
+            DefenseSel::RobustDriver,
+            DefenseSel::BandgapThreshold,
+            DefenseSel::SizedNeuron,
+        ]));
+        vdd_grid.axes.push(Axis::detectors(vec![
+            DetectorSel::None,
+            DetectorSel::DummyNeuron,
+        ]));
+        let threshold_grid = ScenarioSpec::threshold(
+            Some(TargetLayer::Inhibitory),
+            &[-0.2, 0.2],
+            &[0.0, 1.0],
+            &seeds,
+        );
+        let attacks = |spec: ScenarioSpec| spec.plan().jobs.into_iter().map(|job| job.attack);
+        let jobs: Vec<CellJob> = attacks(vdd_grid)
+            .chain(attacks(threshold_grid))
+            .chain([
+                CellAttack::theta(0.0),
+                CellAttack {
+                    seed: Some(2),
+                    ..CellAttack::vdd(0.8)
+                },
+                // Invalid on the wire: a defense without a supply.
+                CellAttack {
+                    defense: DefenseSel::BandgapThreshold,
+                    ..CellAttack::theta(0.1)
+                },
+            ])
+            .enumerate()
+            .map(|(index, attack)| CellJob { index, attack })
+            .collect();
+
+        let cache = BaselineCache::new(&setup);
+        let baseline_accuracy = mean_baseline_accuracy(&cache, &seeds);
+        let primed = cache.trainings.load(Ordering::Relaxed);
+        let batch = execute_cells(
+            &cache,
+            &seeds,
+            baseline_accuracy,
+            &jobs,
+            Some(&table),
+            setup.parallelism,
+        );
+        // Per seed: 0.8 V and 1.2 V under `none` (which `sized_neuron`
+        // repeats), `robust_driver` and `bandgap_threshold` — 6 states
+        // for the 24-cell VDD grid, whose 1.0 V row is fault-free under
+        // every defense — and the two 100% threshold cells.
+        assert_eq!(
+            cache.trainings.load(Ordering::Relaxed) - primed,
+            seeds.len() * (6 + 2)
+        );
+
+        let reference = BaselineCache::new(&setup);
+        assert_eq!(batch.len(), jobs.len());
+        for (job, got) in jobs.iter().zip(&batch) {
+            let want = execute_cell(&reference, &seeds, baseline_accuracy, job, Some(&table));
+            match (got, &want) {
+                (Ok(got), Ok(want)) => {
+                    assert_eq!(got.index, want.index);
+                    assert_eq!(cell_bits(&got.cell), cell_bits(&want.cell), "{job:?}");
+                    let defined = defined_cell(&setup, &seeds, baseline_accuracy, job, &table);
+                    assert_eq!(cell_bits(&got.cell), cell_bits(&defined), "{job:?}");
+                }
+                (Err(got), Err(want)) => assert_eq!(got.to_string(), want.to_string()),
+                (got, want) => panic!("{job:?}: {got:?} against {want:?}"),
+            }
+        }
+        assert!(
+            batch.last().is_some_and(Result::is_err),
+            "the invalid job fails at its own slot"
+        );
     }
 
     /// The input budget counts every encoded input in the process: the

@@ -61,7 +61,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use neurofi_analog::PowerTransferTable;
-use neurofi_core::sweep::{execute_cell, mean_baseline_accuracy, run_indexed};
+use neurofi_core::sweep::{execute_cells, mean_baseline_accuracy};
 use neurofi_core::{BaselineCache, Parallelism};
 
 use crate::campaign::{NamedCampaign, SetupSpec};
@@ -427,17 +427,18 @@ fn worker_session<C: Connection>(
         let cache = &runtimes.caches[runtime.cache];
 
         // Execute and stream the batch in acknowledgement windows; each
-        // window is journaled by the coordinator before it is acked.
+        // window is one executor batch (its cells that leave the network
+        // in the same fault state share one training run) and is
+        // journaled by the coordinator before it is acked.
         for window in jobs.chunks(DEFAULT_ACK_WINDOW) {
-            let measured = run_indexed(window.len(), config.parallelism, |i| {
-                execute_cell(
-                    cache,
-                    &runtime.seeds,
-                    baseline_accuracy,
-                    &window[i],
-                    runtime.transfer.as_ref(),
-                )
-            });
+            let measured = execute_cells(
+                cache,
+                &runtime.seeds,
+                baseline_accuracy,
+                window,
+                runtime.transfer.as_ref(),
+                config.parallelism,
+            );
             let mut results = Vec::with_capacity(window.len());
             for (job, outcome) in window.iter().zip(measured) {
                 match outcome {
