@@ -174,7 +174,12 @@ impl LayerNetlist {
     }
 
     /// Transient simulation of the layer on the chosen engine,
-    /// measuring per-neuron firing and worst-case rail droop.
+    /// measuring per-neuron firing and worst-case rail droop while it
+    /// steps: each neuron's rising crossings of `vdd / 2`
+    /// ([`measure::RisingEdges`], the rule of [`measure::spike_times`])
+    /// and the far tap's minimum, folded as [`measure::minimum`] folds
+    /// it. No waveform is recorded, so the memory of a run is
+    /// O(unknowns) however many steps it takes.
     ///
     /// # Errors
     /// Propagates netlist construction and solver failures.
@@ -182,20 +187,21 @@ impl LayerNetlist {
         let mut net = Netlist::new();
         let nodes = self.build(&mut net)?;
         let spec = TranSpec::new(tstop, dt).with_uic();
-        let res = net.compile()?.tran_with_engine(engine, &spec)?;
-        let times = res.times();
-        let spike_counts = nodes
-            .cells
-            .iter()
-            .map(|cell| measure::spike_times(times, &res.voltage(cell.out), 0.5 * self.vdd).len())
-            .collect();
-        let far_tap = res.voltage(nodes.taps[self.neurons - 1]);
+        let far_tap = nodes.taps[self.neurons - 1];
+        let mut spikes = vec![measure::RisingEdges::new(0.5 * self.vdd); self.neurons];
+        let mut min_rail_voltage = f64::INFINITY;
+        let stats = net.compile()?.tran_observe(engine, &spec, |point| {
+            for (edges, cell) in spikes.iter_mut().zip(&nodes.cells) {
+                edges.push(point.voltage(cell.out));
+            }
+            min_rail_voltage = f64::min(min_rail_voltage, point.voltage(far_tap));
+        })?;
         Ok(LayerResponse {
             neurons: self.neurons,
             vdd: self.vdd,
-            spike_counts,
-            min_rail_voltage: measure::minimum(&far_tap),
-            stats: *res.stats(),
+            spike_counts: spikes.iter().map(measure::RisingEdges::count).collect(),
+            min_rail_voltage,
+            stats,
         })
     }
 
@@ -246,6 +252,50 @@ mod tests {
         // The sparse engine really ran: pattern reused across Newton.
         assert!(resp.stats.solver.refactorizations > 0, "{:?}", resp.stats);
         assert!(resp.stats.solver.nnz < resp.stats.solver.dim * resp.stats.solver.dim);
+    }
+
+    /// The measurement `simulate` folds while stepping equals the one
+    /// read from the recorded waveforms, bit for bit: `spike_times` of
+    /// each output, `minimum` of the far tap, and the work counters. The
+    /// 9-neuron layer repeats neuron 0's input phase at neuron 8, so its
+    /// schedule also covers sources that share one breakpoint list.
+    #[test]
+    fn streamed_measurement_equals_the_recorded_one() {
+        let (tstop, dt) = (12.0e-6, 20.0e-9);
+        for (neurons, engine) in [(2, Engine::Dense), (2, Engine::Sparse), (9, Engine::Sparse)] {
+            let layer = LayerNetlist::paper_layer(neurons).with_vdd(0.85);
+            let streamed = layer.simulate(engine, tstop, dt).unwrap();
+
+            let mut net = Netlist::new();
+            let nodes = layer.build(&mut net).unwrap();
+            let spec = TranSpec::new(tstop, dt).with_uic();
+            let recorded = net
+                .compile()
+                .unwrap()
+                .tran_with_engine(engine, &spec)
+                .unwrap();
+            let times = recorded.times();
+            let spike_counts: Vec<usize> = nodes
+                .cells
+                .iter()
+                .map(|cell| {
+                    measure::spike_times(times, &recorded.voltage(cell.out), 0.5 * layer.vdd).len()
+                })
+                .collect();
+            let far_tap = recorded.voltage(nodes.taps[neurons - 1]);
+
+            assert_eq!(spike_counts, vec![1; neurons], "{neurons} on {engine:?}");
+            assert_eq!(
+                streamed.spike_counts, spike_counts,
+                "{neurons} on {engine:?}"
+            );
+            assert_eq!(
+                streamed.min_rail_voltage.to_bits(),
+                measure::minimum(&far_tap).to_bits(),
+                "{neurons} on {engine:?}"
+            );
+            assert_eq!(&streamed.stats, recorded.stats(), "{neurons} on {engine:?}");
+        }
     }
 
     #[test]

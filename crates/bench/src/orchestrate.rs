@@ -16,7 +16,7 @@ use std::process::ExitCode;
 use std::str::FromStr;
 use std::time::{Duration, SystemTime};
 
-use neurofi_core::{cell_countermeasures, AxisKind, Parallelism, SweepResult, Table};
+use neurofi_core::{cell_countermeasures, detection, AxisKind, Parallelism, SweepResult, Table};
 use neurofi_dist::{
     named_campaign, query_status, run_local_cluster, run_worker, submit_campaign_retrying,
     CampaignProgress, CampaignSpec, CampaignSweep, Coordinator, CoordinatorConfig, NamedCampaign,
@@ -123,7 +123,10 @@ fn submit_usage() -> String {
 /// grid (e.g. threshold × vdd) would otherwise print indistinguishable
 /// rows. When the producing spec carries a defense or detector axis,
 /// each row additionally reports the defense overhead and the
-/// dummy-neuron detection outcome (hit / miss / quiet).
+/// dummy-neuron detection outcome (hit / miss / quiet). A spec with a
+/// `neurons` axis runs layer cells, which measure mean output spikes
+/// per neuron against the same layer at the nominal supply, and the
+/// value and change columns say so.
 pub(crate) fn sweep_table(name: &str, sweep: &SweepResult, spec: &CampaignSpec) -> Table {
     let title = format!("Sweep `{name}` — attack {}", sweep.kind.paper_id());
     // Countermeasure reporting is derived, never measured: overhead and
@@ -134,6 +137,11 @@ pub(crate) fn sweep_table(name: &str, sweep: &SweepResult, spec: &CampaignSpec) 
         .axes
         .iter()
         .any(|a| matches!(a.kind, AxisKind::Defense | AxisKind::Detector));
+    let layer = spec
+        .scenario
+        .axes
+        .iter()
+        .any(|a| a.kind == AxisKind::Neurons);
     let countermeasures = armed.then(|| {
         let transfer = spec.scenario.transfer_table().ok().flatten();
         spec.plan()
@@ -143,8 +151,13 @@ pub(crate) fn sweep_table(name: &str, sweep: &SweepResult, spec: &CampaignSpec) 
             .collect::<Vec<_>>()
     });
     let mut headers: Vec<String> = sweep.axes.iter().map(|a| a.kind.to_string()).collect();
-    headers.push("accuracy".into());
-    headers.push("vs baseline".into());
+    if layer {
+        headers.push("spikes/neuron".into());
+        headers.push("vs nominal VDD".into());
+    } else {
+        headers.push("accuracy".into());
+        headers.push("vs baseline".into());
+    }
     if countermeasures.is_some() {
         headers.push("overhead".into());
         headers.push("detection".into());
@@ -152,16 +165,12 @@ pub(crate) fn sweep_table(name: &str, sweep: &SweepResult, spec: &CampaignSpec) 
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
     let mut table = Table::new(title, &header_refs);
     for (flat, cell) in sweep.cells.iter().enumerate() {
-        let indices = sweep
-            .axis_indices(flat)
-            .expect("every assembled cell decomposes into axis indices");
-        let mut row: Vec<String> = sweep
-            .axes
-            .iter()
-            .zip(&indices)
-            .map(|(axis, &i)| axis.value_label(i).unwrap_or_default())
-            .collect();
-        row.push(format!("{:.1}%", cell.accuracy * 100.0));
+        let mut row = axis_labels(sweep, flat);
+        row.push(if layer {
+            format!("{:.3}", cell.accuracy)
+        } else {
+            format!("{:.1}%", cell.accuracy * 100.0)
+        });
         row.push(format!("{:+.2}%", cell.relative_change_percent));
         if let Some(cms) = countermeasures.as_ref().and_then(|cms| cms.get(flat)) {
             row.push(
@@ -181,11 +190,41 @@ pub(crate) fn sweep_table(name: &str, sweep: &SweepResult, spec: &CampaignSpec) 
         }
         table.push_row(&row);
     }
-    table.push_note(format!(
-        "baseline accuracy {:.2}%",
-        sweep.baseline_accuracy * 100.0
-    ));
+    table.push_note(if layer {
+        format!(
+            "reference: each layer design's spikes/neuron at the nominal {} V supply",
+            detection::VDD_NOMINAL
+        )
+    } else {
+        format!("baseline accuracy {:.2}%", sweep.baseline_accuracy * 100.0)
+    });
     table
+}
+
+/// The axis value labels of the cell at `flat`, one per axis in column
+/// order, as its table row prints them.
+fn axis_labels(sweep: &SweepResult, flat: usize) -> Vec<String> {
+    let indices = sweep
+        .axis_indices(flat)
+        .expect("every assembled cell decomposes into axis indices");
+    sweep
+        .axes
+        .iter()
+        .zip(&indices)
+        .map(|(axis, &i)| axis.value_label(i).unwrap_or_default())
+        .collect()
+}
+
+/// Names the cell at `flat` by its axes, as its table row reads:
+/// `vdd=0.8, neurons=32`.
+pub(crate) fn cell_name(sweep: &SweepResult, flat: usize) -> String {
+    sweep
+        .axes
+        .iter()
+        .zip(axis_labels(sweep, flat))
+        .map(|(axis, label)| format!("{}={label}", axis.kind))
+        .collect::<Vec<_>>()
+        .join(", ")
 }
 
 /// Bit-level comparison of two sweep results — the golden-merge check
@@ -1043,6 +1082,7 @@ mod tests {
         let table = sweep_table("tiny", &sweep, &spec);
         assert_eq!(table.len(), sweep.cells.len());
         assert!(table.to_markdown().contains("baseline accuracy"));
+        assert!(table.to_markdown().contains("| 30.0% |"));
         assert!(table.to_markdown().contains("`tiny`"));
     }
 
@@ -1080,6 +1120,34 @@ mod tests {
         let rendered = sweep_table("vdd", &planned_result(&plain, 0.4), &plain).to_markdown();
         assert!(!rendered.contains("overhead"), "{rendered}");
         assert!(!rendered.contains("detection"), "{rendered}");
+    }
+
+    /// A layer campaign's cells hold spikes per neuron against the same
+    /// layer at nominal VDD: the table prints them unscaled, heads its
+    /// columns accordingly, and names the nominal-supply reference
+    /// instead of a network baseline no layer cell reads.
+    #[test]
+    fn sweep_table_labels_layer_cells() {
+        use neurofi_core::scenario::Axis;
+        use neurofi_core::{PowerTransferTable, ScenarioSpec};
+        use neurofi_dist::SetupSpec;
+
+        let mut layer = CampaignSpec {
+            setup: SetupSpec::bench(42),
+            scenario: ScenarioSpec::vdd(&[0.8, 1.0], &PowerTransferTable::paper_nominal(), &[42]),
+        };
+        layer.scenario.axes.push(Axis::neurons(vec![32]));
+        layer.validate().unwrap();
+        let sweep = planned_result(&layer, 4.65625);
+        let rendered = sweep_table("layer32", &sweep, &layer).to_markdown();
+        assert!(rendered.contains("spikes/neuron"), "{rendered}");
+        assert!(rendered.contains("vs nominal VDD"), "{rendered}");
+        assert!(rendered.contains("| 4.656 |"), "{rendered}");
+        assert!(!rendered.contains("465.6%"), "{rendered}");
+        assert!(rendered.contains("nominal 1 V supply"), "{rendered}");
+        assert!(!rendered.contains("baseline accuracy"), "{rendered}");
+        assert_eq!(cell_name(&sweep, 0), "vdd=0.8, neurons=32");
+        assert_eq!(cell_name(&sweep, 1), "vdd=1, neurons=32");
     }
 
     #[test]

@@ -292,12 +292,11 @@ pub fn sweep_main(args: &[String]) -> ExitCode {
     };
     let table = crate::orchestrate::sweep_table(&campaign.name, &result, &campaign.spec);
     println!("{}", table.to_markdown());
-    if let Some(worst) = result.worst_case() {
+    if let Some(flat) = result.worst_case_slot() {
         println!(
-            "_worst case: {:+.2}% at ({:+.3}, {:.0}%)_\n",
-            worst.relative_change_percent,
-            worst.rel_change,
-            worst.fraction * 100.0
+            "_worst case: {:+.2}% at {}_\n",
+            result.cells[flat].relative_change_percent,
+            crate::orchestrate::cell_name(&result, flat)
         );
     }
     if let Some(dir) = out_dir {

@@ -63,7 +63,9 @@ use crate::threat::AttackKind;
 /// kinds; duplicates are rejected anyway).
 const MAX_AXES: usize = 10;
 /// Hard cap on the neuron count of one layer-netlist cell: a 4096-neuron
-/// layer is already a ≈20 000-unknown circuit per cell.
+/// layer is already a ≈20 000-unknown circuit per cell. A cell measures
+/// while its transient steps, so its memory is O(unknowns), not
+/// steps × unknowns.
 pub const MAX_LAYER_NEURONS: u64 = 4_096;
 /// Hard cap on values per axis — mirrors the wire layer's
 /// hostile-length guards so a parsed spec can always be encoded.

@@ -415,14 +415,22 @@ impl SweepResult {
     /// hand-assembled results) never panic and never win; if every cell is
     /// NaN, the first cell is returned.
     pub fn worst_case(&self) -> Option<&SweepCell> {
+        self.worst_case_slot().and_then(|flat| self.cells.get(flat))
+    }
+
+    /// The flat slot of [`SweepResult::worst_case`], which
+    /// [`SweepResult::axis_indices`] turns into the cell's axis values.
+    pub fn worst_case_slot(&self) -> Option<usize> {
         self.cells
             .iter()
-            .filter(|c| !c.relative_change_percent.is_nan())
-            .min_by(|a, b| {
+            .enumerate()
+            .filter(|(_, c)| !c.relative_change_percent.is_nan())
+            .min_by(|(_, a), (_, b)| {
                 a.relative_change_percent
                     .total_cmp(&b.relative_change_percent)
             })
-            .or_else(|| self.cells.first())
+            .map(|(flat, _)| flat)
+            .or_else(|| (!self.cells.is_empty()).then_some(0))
     }
 
     /// The per-axis point counts (empty for hand-assembled results).
@@ -1246,6 +1254,7 @@ mod tests {
             axes: Vec::new(),
         };
         assert_eq!(result.worst_case().unwrap().rel_change, -0.2);
+        assert_eq!(result.worst_case_slot(), Some(0));
     }
 
     #[test]
@@ -1277,6 +1286,7 @@ mod tests {
             axes: Vec::new(),
         };
         assert_eq!(result.worst_case().unwrap().rel_change, -0.1);
+        assert_eq!(result.worst_case_slot(), Some(2));
         let all_nan = SweepResult {
             kind: AttackKind::ExcitatoryThreshold,
             baseline_accuracy: 0.8,

@@ -1,5 +1,7 @@
 //! Compiled circuits and the DC / transient analysis engines.
 
+use std::collections::BTreeSet;
+
 use crate::device::MosModel;
 use crate::error::{Error, Result};
 use crate::mna::SolverWorkspace;
@@ -70,6 +72,9 @@ impl Default for SolveOptions {
 /// breakpoints per neuron plus 2,250 steps), plans about 2.3·10⁵
 /// points, so this leaves over 100× headroom while refusing transients
 /// whose step or PULSE period vanishes.
+///
+/// The cap counts each source's breakpoints, even where sources share a
+/// PULSE timing and the analysis generates that timing's list once.
 const MAX_TRAN_POINTS: usize = 1 << 25;
 
 /// Transient analysis request.
@@ -77,8 +82,9 @@ const MAX_TRAN_POINTS: usize = 1 << 25;
 /// Every transient runs one fixed-step path: backward-Euler companion
 /// models, the base step `dt` clipped to land exactly on source
 /// waveform breakpoints, halving on a Newton failure down to
-/// `dt / 1024`, default [`SolveOptions`], and every accepted step
-/// recorded.
+/// `dt / 1024`, default [`SolveOptions`], and every accepted step handed
+/// to an observer ([`Circuit::tran_observe`]; [`Circuit::tran`] records
+/// them all).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TranSpec {
     /// Stop time, seconds.
@@ -751,7 +757,8 @@ impl Circuit {
         }
     }
 
-    /// Runs a transient analysis on the dense engine.
+    /// Runs a transient analysis on the dense engine and records every
+    /// accepted point.
     ///
     /// # Errors
     /// [`Error::InvalidAnalysis`] if the analysis would plan more than
@@ -762,11 +769,43 @@ impl Circuit {
         self.tran_with_engine(Engine::Dense, spec)
     }
 
-    /// [`Circuit::tran`] on the chosen [`Engine`].
+    /// [`Circuit::tran`] on the chosen [`Engine`]: the recording observer
+    /// of [`Circuit::tran_observe`], which keeps every unknown at every
+    /// accepted point, so its memory grows with steps × unknowns.
     ///
     /// # Errors
     /// See [`Circuit::tran`].
     pub fn tran_with_engine(&self, engine: Engine, spec: &TranSpec) -> Result<TranResult> {
+        let mut result = TranResult {
+            node_count: self.node_count,
+            branch_names: self.vsources.iter().map(|v| v.name.clone()).collect(),
+            branch_offsets: self.vsources.iter().map(|v| v.branch).collect(),
+            times: Vec::new(),
+            data: Vec::new(),
+            unknowns: self.unknown_count(),
+            stats: TranStats::default(),
+        };
+        let stats = self.tran_observe(engine, spec, |point| result.push(point))?;
+        result.stats = stats;
+        Ok(result)
+    }
+
+    /// The one transient loop: hands each accepted point, the starting
+    /// point at `t = 0` first and then every accepted step in time
+    /// order, to `observe`, and returns the analysis's work counters.
+    /// The loop keeps no point once `observe` returns, so a caller that
+    /// measures while stepping holds O(unknowns) memory however many
+    /// steps the analysis takes.
+    ///
+    /// # Errors
+    /// See [`Circuit::tran`]. Points already observed stay observed when
+    /// a later step fails.
+    pub fn tran_observe(
+        &self,
+        engine: Engine,
+        spec: &TranSpec,
+        observe: impl FnMut(TranPoint<'_>),
+    ) -> Result<TranStats> {
         self.check_tran_budget(spec)?;
         // One workspace for the whole analysis: every timestep's Newton
         // solves (including step-halving retries) stamp into the same
@@ -774,11 +813,11 @@ impl Circuit {
         match engine {
             Engine::Dense => {
                 let mut ws = SolverWorkspace::new(self.unknown_count());
-                self.tran_impl(&mut ws, spec)
+                self.tran_impl(&mut ws, spec, observe)
             }
             Engine::Sparse => {
                 let mut ws = SparseWorkspace::new(self.unknown_count());
-                self.tran_impl(&mut ws, spec)
+                self.tran_impl(&mut ws, spec, observe)
             }
         }
     }
@@ -816,7 +855,12 @@ impl Circuit {
         Ok(())
     }
 
-    fn tran_impl<S: LinearSolver>(&self, ws: &mut S, spec: &TranSpec) -> Result<TranResult> {
+    fn tran_impl<S: LinearSolver>(
+        &self,
+        ws: &mut S,
+        spec: &TranSpec,
+        mut observe: impl FnMut(TranPoint<'_>),
+    ) -> Result<TranStats> {
         let opts = SolveOptions::default();
         let mut stats = TranStats::default();
         // Voltage across each capacitor at the previous accepted step:
@@ -853,29 +897,18 @@ impl Circuit {
             }
         }
 
-        // Collect breakpoints from every source waveform.
-        let mut breakpoints: Vec<f64> = Vec::new();
-        for vs in &self.vsources {
-            breakpoints.extend(vs.wave.breakpoints(spec.tstop));
-        }
-        for is in &self.isources {
-            breakpoints.extend(is.wave.breakpoints(spec.tstop));
-        }
-        breakpoints.sort_by(f64::total_cmp);
-        breakpoints.dedup_by(|a, b| (*a - *b).abs() < 1.0e-15);
+        let waves = self.vsources.iter().map(|v| &v.wave);
+        let breakpoints = merged_breakpoints(
+            waves.chain(self.isources.iter().map(|i| &i.wave)),
+            spec.tstop,
+        );
         let mut bp_cursor = 0usize;
 
-        let mut result = TranResult {
-            node_count: self.node_count,
-            branch_names: self.vsources.iter().map(|v| v.name.clone()).collect(),
-            branch_offsets: self.vsources.iter().map(|v| v.branch).collect(),
-            times: Vec::new(),
-            data: Vec::new(),
-            unknowns: self.unknown_count(),
-            stats: TranStats::default(),
-        };
-        result.push(0.0, &x);
+        observe(TranPoint { t: 0.0, x: &x });
 
+        // Each step attempt solves into `x_try`, a copy of the last
+        // accepted point; an accepted step swaps it in.
+        let mut x_try = x.clone();
         let dt_min = spec.dt / 1024.0;
         let mut t = 0.0;
         while t < spec.tstop - 1.0e-18 {
@@ -896,7 +929,7 @@ impl Circuit {
 
             // Attempt the step, halving it on a Newton failure.
             loop {
-                let mut x_try = x.clone();
+                x_try.copy_from_slice(&x);
                 match self.newton(
                     ws,
                     &mut x_try,
@@ -914,8 +947,8 @@ impl Circuit {
                             *v = self.v_at(&x_try, cap.p) - self.v_at(&x_try, cap.n);
                         }
                         t += step;
-                        x = x_try;
-                        result.push(t, &x);
+                        std::mem::swap(&mut x, &mut x_try);
+                        observe(TranPoint { t, x: &x });
                         break;
                     }
                     Err(err) => {
@@ -937,8 +970,39 @@ impl Circuit {
             }
         }
         stats.solver = ws.stats();
-        result.stats = stats;
-        Ok(result)
+        Ok(stats)
+    }
+}
+
+/// The breakpoints of `waves` in `[0, tstop]`, sorted, with each point
+/// within 1 fs of the last kept one dropped.
+///
+/// Sources with equal [`Waveform::breakpoint_timing`] keys (a layer
+/// staggers its inputs over 8 phases, whatever its neuron count)
+/// contribute one list between them. That leaves the result unchanged:
+/// after the sort each dropped list's values sit next to their bitwise
+/// twins, and the 1-fs merge always drops a twin without moving the
+/// value it keeps.
+fn merged_breakpoints<'a>(waves: impl Iterator<Item = &'a Waveform>, tstop: f64) -> Vec<f64> {
+    let mut timings = BTreeSet::new();
+    let mut breakpoints: Vec<f64> = Vec::new();
+    for wave in waves {
+        match wave.breakpoint_timing() {
+            Some(timing) if !timings.insert(timing) => {}
+            _ => breakpoints.extend(wave.breakpoints(tstop)),
+        }
+    }
+    breakpoints.sort_by(f64::total_cmp);
+    breakpoints.dedup_by(|a, b| (*a - *b).abs() < 1.0e-15);
+    breakpoints
+}
+
+/// The voltage of `node` in the MNA solution `x`: 0 V for ground, and
+/// 0 V for a node outside `x`, which only a foreign netlist can name.
+fn node_voltage(x: &[f64], node: NodeId) -> f64 {
+    match node.index() {
+        0 => 0.0,
+        index => x.get(index - 1).copied().unwrap_or(0.0),
     }
 }
 
@@ -955,11 +1019,7 @@ impl OpPoint {
     /// Voltage at `node` (0 V for ground; 0 V for out-of-range nodes,
     /// which can only come from a foreign netlist).
     pub fn voltage(&self, node: NodeId) -> f64 {
-        if node.index() == 0 {
-            0.0
-        } else {
-            self.x.get(node.index() - 1).copied().unwrap_or(0.0)
-        }
+        node_voltage(&self.x, node)
     }
 
     /// Current through the named voltage source (positive flowing from the
@@ -989,7 +1049,29 @@ pub struct TranStats {
     pub solver: SolverStats,
 }
 
-/// Recorded transient waveforms.
+/// One accepted transient point, as [`Circuit::tran_observe`] hands it
+/// to its observer: the node voltages solved at that time, read as
+/// [`OpPoint`] reads them. It borrows the loop's solution vector, so an
+/// observer keeps what it needs and the loop moves on.
+#[derive(Debug, Clone, Copy)]
+pub struct TranPoint<'a> {
+    /// The point's time, seconds, which [`TranResult`] records.
+    t: f64,
+    x: &'a [f64],
+}
+
+impl TranPoint<'_> {
+    /// Voltage at `node` (0 V for ground; 0 V for out-of-range nodes,
+    /// which can only come from a foreign netlist).
+    pub fn voltage(&self, node: NodeId) -> f64 {
+        node_voltage(self.x, node)
+    }
+}
+
+/// Recorded transient waveforms: every unknown at every accepted point,
+/// as [`Circuit::tran_with_engine`] records them. A caller that needs a
+/// few measurements, not the waveforms, observes the same points
+/// through [`Circuit::tran_observe`] instead.
 #[derive(Debug, Clone)]
 pub struct TranResult {
     node_count: usize,
@@ -1005,9 +1087,9 @@ pub struct TranResult {
 }
 
 impl TranResult {
-    fn push(&mut self, t: f64, x: &[f64]) {
-        self.times.push(t);
-        self.data.extend_from_slice(x);
+    fn push(&mut self, point: TranPoint<'_>) {
+        self.times.push(point.t);
+        self.data.extend_from_slice(point.x);
     }
 
     /// The recorded time points, seconds.
@@ -1408,6 +1490,113 @@ mod tests {
         // With default gmin it is fine (b pinned to ground).
         let op = net.compile().unwrap().op(&Default::default()).unwrap();
         assert_eq!(op.voltage(b), 0.0);
+    }
+
+    /// The recording path is an observer of the one loop, on a circuit
+    /// whose 50 V edges reject steps. Each engine's step counts and an
+    /// FNV-1a checksum of every recorded time and unknown are pinned, so
+    /// a change to the step schedule or to the solved values fails here;
+    /// and the observed points equal the recorded ones in count, time
+    /// and every unknown's bits.
+    #[test]
+    fn observer_sees_exactly_the_recorded_points() {
+        let mut net = Netlist::new();
+        let a = net.node("a");
+        let out = net.node("out");
+        let edge = Waveform::Pulse {
+            v1: 0.0,
+            v2: 50.0,
+            delay: 10.0 * NANO,
+            rise: 1.0 * NANO,
+            fall: 1.0 * NANO,
+            width: 20.0 * NANO,
+            period: 50.0 * NANO,
+        };
+        net.vsource("V1", a, Netlist::GROUND, edge).unwrap();
+        net.resistor("R1", a, out, 1.0e3).unwrap();
+        net.capacitor("C1", out, Netlist::GROUND, 10.0 * PICO)
+            .unwrap();
+        let circuit = net.compile().unwrap();
+        let spec = TranSpec::new(200.0 * NANO, 5.0 * NANO).with_uic();
+        let checksum = |r: &TranResult| {
+            r.times
+                .iter()
+                .chain(&r.data)
+                .fold(0xcbf2_9ce4_8422_2325_u64, |h, v| {
+                    (h ^ v.to_bits()).wrapping_mul(0x0000_0100_0000_01b3)
+                })
+        };
+        for (engine, sum) in [
+            (Engine::Dense, 0x4b51_5acb_2df7_d719_u64),
+            (Engine::Sparse, 0x40e1_ae60_dc0e_e180),
+        ] {
+            let recorded = circuit.tran_with_engine(engine, &spec).unwrap();
+            let pinned = recorded.stats();
+            assert_eq!(pinned.accepted_steps, 72, "{engine:?}: {pinned:?}");
+            assert_eq!(pinned.rejected_steps, 40, "{engine:?}: {pinned:?}");
+            assert_eq!(pinned.newton_iterations, 2100, "{engine:?}: {pinned:?}");
+            assert_eq!(recorded.len(), 73, "{engine:?}");
+            assert_eq!(checksum(&recorded), sum, "{engine:?}");
+            let mut observed: Vec<(f64, Vec<f64>)> = Vec::new();
+            let stats = circuit
+                .tran_observe(engine, &spec, |point| {
+                    observed.push((point.t, point.x.to_vec()));
+                })
+                .unwrap();
+            assert_eq!(&stats, pinned, "{engine:?}");
+            assert_eq!(observed.len(), recorded.len(), "{engine:?}");
+            let rows = recorded.data.chunks_exact(recorded.unknowns);
+            for ((t, x), (&rt, row)) in observed.iter().zip(recorded.times().iter().zip(rows)) {
+                assert_eq!(t.to_bits(), rt.to_bits(), "{engine:?} at {rt:e}");
+                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(x), bits(row), "{engine:?} at {rt:e}");
+            }
+        }
+    }
+
+    /// Collecting one breakpoint list per distinct PULSE timing equals
+    /// concatenating every source's list before the sort and the 1-fs
+    /// merge, on repeated timings, near-equal ones and shuffled orders.
+    #[test]
+    fn merged_breakpoints_equal_the_concatenated_collection() {
+        let concatenated = |waves: &[Waveform], tstop: f64| {
+            let mut all: Vec<f64> = waves.iter().flat_map(|w| w.breakpoints(tstop)).collect();
+            all.sort_by(f64::total_cmp);
+            all.dedup_by(|a, b| (*a - *b).abs() < 1.0e-15);
+            all
+        };
+        let pulse = |amplitude: f64, delay: f64, width: f64| Waveform::Pulse {
+            v1: 0.0,
+            v2: amplitude,
+            delay,
+            rise: 1.0 * NANO,
+            fall: 1.0 * NANO,
+            width,
+            period: 25.0 * NANO,
+        };
+        // Layer-like inputs: 8 phases, repeated with other amplitudes,
+        // plus timings 0.4 fs and 0.9 fs off a phase, and a DC rail.
+        let mut waves = vec![Waveform::Dc(1.0)];
+        for i in 0..20 {
+            let delay = 25.0 * NANO * (i % 8) as f64 / 8.0;
+            waves.push(pulse(1.0 + i as f64, delay, 10.5 * NANO));
+        }
+        waves.push(pulse(2.0, 3.125 * NANO + 0.4e-15, 10.5 * NANO));
+        waves.push(pulse(3.0, 3.125 * NANO + 0.9e-15, 10.5 * NANO));
+        waves.push(pulse(4.0, 0.0, 10.5 * NANO + 0.5e-15));
+        let tstop = 1.0e-6;
+        let merged = |waves: &[Waveform]| merged_breakpoints(waves.iter(), tstop);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&merged(&waves)), bits(&concatenated(&waves, tstop)));
+        // Every rotation and the reversed order: source order never
+        // changes the merged schedule.
+        for shift in 0..waves.len() {
+            let mut order = waves.clone();
+            order.rotate_left(shift);
+            assert_eq!(bits(&merged(&order)), bits(&concatenated(&order, tstop)));
+            order.reverse();
+            assert_eq!(bits(&merged(&order)), bits(&concatenated(&order, tstop)));
+        }
     }
 
     #[test]

@@ -18,8 +18,11 @@
 //! * **Transient analysis** ([`TranSpec`]) on one fixed-step path:
 //!   backward-Euler companion models, the base step clipped to land on
 //!   source breakpoints, and automatic step halving when Newton fails to
-//!   converge. A request that plans more than 2²⁵ steps and breakpoints
-//!   is refused before it runs.
+//!   converge. The loop hands each accepted point ([`TranPoint`]) to an
+//!   observer ([`Circuit::tran_observe`]), which can measure while it
+//!   steps; [`Circuit::tran`] is the observer that records every point
+//!   ([`TranResult`]). A request that plans more than 2²⁵ steps and
+//!   breakpoints is refused before it runs.
 //! * An **EKV-style MOSFET compact model** ([`device::MosModel`]): a single
 //!   smooth equation covering subthreshold, triode and saturation, with
 //!   analytic derivatives (crucial for the slow membrane-voltage ramps of
@@ -29,8 +32,8 @@
 //!   circuit in the workspace is built, and waveform sources
 //!   ([`Waveform`]: DC and PULSE).
 //! * **Measurement helpers** ([`measure`]): spike detection, threshold
-//!   crossings, period extraction, averages — the quantities the paper
-//!   reports.
+//!   crossings (also counted online), period extraction, averages — the
+//!   quantities the paper reports.
 //!
 //! ## Quickstart: an RC low-pass step response
 //!
@@ -76,7 +79,9 @@ pub mod netlist;
 pub mod units;
 pub mod waveform;
 
-pub use circuit::{Circuit, Engine, OpPoint, SolveOptions, TranResult, TranSpec, TranStats};
+pub use circuit::{
+    Circuit, Engine, OpPoint, SolveOptions, TranPoint, TranResult, TranSpec, TranStats,
+};
 pub use device::{MosModel, MosType};
 pub use error::Error;
 pub use netlist::{Element, Netlist, NodeId};

@@ -3,7 +3,17 @@
 //! These free functions operate on `(times, values)` slice pairs as produced
 //! by [`TranResult::voltage`](crate::TranResult::voltage) and implement the
 //! quantities the paper reports: spike times, inter-spike periods,
-//! extrema and window averages.
+//! extrema and window averages. [`RisingEdges`] counts spikes online, over
+//! the points of [`Circuit::tran_observe`](crate::Circuit::tran_observe),
+//! by the same rule as [`spike_times`].
+
+/// Whether consecutive samples `v0` then `v1` cross `level` from below:
+/// the one rising-edge rule of [`spike_times`] and [`RisingEdges`].
+/// NaN samples compare false, so a non-finite glitch in the waveform
+/// never fabricates a crossing.
+fn rises_through(v0: f64, v1: f64, level: f64) -> bool {
+    v0 < level && v1 >= level
+}
 
 /// Times at which `values` crosses `level` from below, linearly
 /// interpolated between samples.
@@ -17,9 +27,7 @@ fn crossings(times: &[f64], values: &[f64], level: f64) -> Vec<f64> {
         let (&[t0, t1], &[v0, v1]) = (tw, vw) else {
             continue;
         };
-        // NaN samples compare false, so a non-finite glitch in the
-        // waveform never fabricates a crossing.
-        if v0 < level && v1 >= level {
+        if rises_through(v0, v1, level) {
             let frac = if (v1 - v0).abs() < f64::MIN_POSITIVE {
                 0.0
             } else {
@@ -34,6 +42,43 @@ fn crossings(times: &[f64], values: &[f64], level: f64) -> Vec<f64> {
 /// Rising-edge spike times: crossings of `threshold` from below.
 pub fn spike_times(times: &[f64], values: &[f64], threshold: f64) -> Vec<f64> {
     crossings(times, values, threshold)
+}
+
+/// Counts the rising crossings of a level over samples fed in time
+/// order: `spike_times(times, values, level).len()` over the same
+/// samples, without storing them.
+#[derive(Debug, Clone, Copy)]
+pub struct RisingEdges {
+    level: f64,
+    last: Option<f64>,
+    count: usize,
+}
+
+impl RisingEdges {
+    /// A counter of crossings of `level` from below, with no samples yet.
+    pub fn new(level: f64) -> RisingEdges {
+        RisingEdges {
+            level,
+            last: None,
+            count: 0,
+        }
+    }
+
+    /// Feeds the next sample.
+    pub fn push(&mut self, value: f64) {
+        if self
+            .last
+            .is_some_and(|last| rises_through(last, value, self.level))
+        {
+            self.count += 1;
+        }
+        self.last = Some(value);
+    }
+
+    /// Rising crossings seen so far.
+    pub fn count(&self) -> usize {
+        self.count
+    }
 }
 
 /// Mean period between consecutive spikes, if at least two spikes exist.
@@ -154,6 +199,26 @@ mod tests {
         assert_eq!(spike_times(&t, &v, 0.5).len(), 3);
         let period = mean_spike_period(&t, &v, 0.5).unwrap();
         assert!((period - 100.0).abs() < 1.0);
+    }
+
+    /// The online counter counts what `spike_times` finds, NaN
+    /// glitches and samples exactly at the level included.
+    #[test]
+    fn rising_edges_count_what_spike_times_finds() {
+        let times: Vec<f64> = (0..12).map(f64::from).collect();
+        let nan = f64::NAN;
+        let waves = [
+            [0.0, nan, 0.0, 0.0, 1.0, 1.0, 0.0, 0.5, 0.2, 0.6, 0.4, 0.5],
+            [0.5, 0.4, 0.5, 0.5, 0.49, 1.0, nan, 1.0, 0.0, 0.0, 1.0, 0.0],
+        ];
+        for values in waves {
+            let mut edges = RisingEdges::new(0.5);
+            for &v in &values {
+                edges.push(v);
+            }
+            assert_eq!(edges.count(), spike_times(&times, &values, 0.5).len());
+        }
+        assert_eq!(RisingEdges::new(0.5).count(), 0);
     }
 
     #[test]

@@ -130,6 +130,25 @@ impl Waveform {
         out
     }
 
+    /// The bit patterns of every value [`Waveform::breakpoints`] reads:
+    /// two waveforms with equal keys generate the same breakpoints, so a
+    /// transient generates one list per key. `None` for a waveform whose
+    /// list is not shared (a DC level, which has no breakpoints).
+    pub(crate) fn breakpoint_timing(&self) -> Option<[u64; 5]> {
+        match self {
+            Waveform::Dc(_) => None,
+            Waveform::Pulse {
+                v1: _,
+                v2: _,
+                delay,
+                rise,
+                fall,
+                width,
+                period,
+            } => Some([delay, rise, fall, width, period].map(|v| v.to_bits())),
+        }
+    }
+
     /// How many breakpoints [`Waveform::breakpoints`]`(tstop)` generates,
     /// estimated without generating them: 4 per PULSE cycle in
     /// `[delay, tstop]`. Infinite when a PULSE period is too small to
