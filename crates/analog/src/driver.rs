@@ -14,7 +14,7 @@ use neurofi_spice::device::MosModel;
 use neurofi_spice::error::Result;
 use neurofi_spice::units::{MEGA, MICRO, NANO};
 use neurofi_spice::waveform::Waveform;
-use neurofi_spice::{Netlist, NodeId, SolveOptions};
+use neurofi_spice::{Netlist, NodeId};
 
 use crate::bandgap::BandgapReference;
 
@@ -136,7 +136,7 @@ impl CurrentDriver {
             Netlist::GROUND,
             Waveform::Dc(self.out_bias),
         )?;
-        let op = net.compile()?.op(&SolveOptions::default())?;
+        let op = net.compile()?.op()?;
         // The mirror sinks current out of the output node; that current is
         // supplied by VOUT, flowing n→p inside the source, i.e. a negative
         // branch current. Report the magnitude.
@@ -158,7 +158,7 @@ impl CurrentDriver {
             Netlist::GROUND,
             Waveform::Dc(self.out_bias),
         )?;
-        let op = net.compile()?.op(&SolveOptions::default())?;
+        let op = net.compile()?.op()?;
         // VDD sources current into the circuit: branch current is negative
         // (flows n→p internally); consumption is its magnitude times VDD.
         // The output branch is powered by VOUT (standing in for the
@@ -277,7 +277,7 @@ impl RobustCurrentDriver {
         let (vdd_node, out) = self.build(&mut net, "rdrv", vdd)?;
         net.vsource("VDD", vdd_node, Netlist::GROUND, Waveform::Dc(vdd))?;
         net.vsource("VOUT", out, Netlist::GROUND, Waveform::Dc(self.out_bias))?;
-        let op = net.compile()?.op(&SolveOptions::default())?;
+        let op = net.compile()?.op()?;
         Ok(op.source_current("VOUT").unwrap_or(0.0).abs())
     }
 
@@ -297,7 +297,7 @@ impl RobustCurrentDriver {
         let (vdd_node, out) = self.build(&mut net, "rdrv", vdd)?;
         net.vsource("VDD", vdd_node, Netlist::GROUND, Waveform::Dc(vdd))?;
         net.vsource("VOUT", out, Netlist::GROUND, Waveform::Dc(self.out_bias))?;
-        let op = net.compile()?.op(&SolveOptions::default())?;
+        let op = net.compile()?.op()?;
         let total = op.source_current("VDD").unwrap_or(0.0).abs();
         let delivered = op.source_current("VOUT").unwrap_or(0.0).abs();
         Ok((total - delivered + self.opamp_bias_current) * vdd)
@@ -355,7 +355,7 @@ mod tests {
             .unwrap();
         net.vsource("VOUT", nodes.out, Netlist::GROUND, Waveform::Dc(0.5))
             .unwrap();
-        let op = net.compile().unwrap().op(&Default::default()).unwrap();
+        let op = net.compile().unwrap().op().unwrap();
         let off = op.source_current("VOUT").unwrap().abs();
         assert!(off < 2.0e-9, "off-state leakage {off:.2e} too large");
     }

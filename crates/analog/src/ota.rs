@@ -10,7 +10,7 @@ use neurofi_spice::device::MosModel;
 use neurofi_spice::error::Result;
 use neurofi_spice::units::MICRO;
 use neurofi_spice::waveform::Waveform;
-use neurofi_spice::{Netlist, NodeId, SolveOptions};
+use neurofi_spice::{Netlist, NodeId};
 
 /// A five-transistor OTA: NMOS differential pair, PMOS mirror load,
 /// bias-voltage-controlled tail current.
@@ -164,7 +164,7 @@ impl FiveTransistorOta {
         let circuit = net.compile()?;
         let n = 400;
         let values: Vec<f64> = (0..=n).map(|i| vdd * i as f64 / n as f64).collect();
-        let ops = circuit.dc_sweep("VIN", &values, &SolveOptions::default())?;
+        let ops = circuit.dc_sweep("VIN", &values)?;
         let outs: Vec<f64> = ops.iter().map(|op| op.voltage(nodes.out)).collect();
         let level = 0.5 * vdd;
         let mut switching_point = None;

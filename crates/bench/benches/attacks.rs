@@ -4,7 +4,7 @@
 //! end-to-end workload.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use neurofi_core::attacks::{Attack, ExperimentSetup, ThresholdAttack};
+use neurofi_core::attacks::ExperimentSetup;
 use neurofi_core::{FaultPlan, PowerTransferTable, TargetLayer};
 use neurofi_snn::diehl_cook::{DiehlCook2015, DiehlCookConfig};
 use std::hint::black_box;
@@ -42,9 +42,11 @@ fn bench_tiny_attack_experiment(c: &mut Criterion) {
         setup.n_train = 40;
         setup.n_test = 20;
         setup.network.sample_time_ms = 50.0;
+        let plan = FaultPlan::layer_threshold(TargetLayer::Inhibitory, -0.2, 1.0);
         b.iter(|| {
-            let outcome = ThresholdAttack::inhibitory(-0.2, 1.0).run(&setup).unwrap();
-            black_box(outcome.attacked_accuracy)
+            let baseline = setup.baseline();
+            let attacked = setup.run_with_plan(&plan);
+            black_box((baseline.accuracy, attacked.accuracy))
         })
     });
     group.finish();

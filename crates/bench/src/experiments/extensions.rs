@@ -87,7 +87,7 @@ pub fn weight_faults(fidelity: Fidelity) -> Result<Table, Error> {
         table.push_row(&[
             label.into(),
             format!("{:.0}%", fraction * 100.0),
-            format!("{:.1}%", outcome.attacked_accuracy * 100.0),
+            format!("{:.1}%", outcome.attacked.accuracy * 100.0),
             format!("{:+.1}%", outcome.relative_change_percent()),
         ]);
     }

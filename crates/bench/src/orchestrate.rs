@@ -128,7 +128,7 @@ fn submit_usage() -> String {
 /// per neuron against the same layer at the nominal supply, and the
 /// value and change columns say so.
 pub(crate) fn sweep_table(name: &str, sweep: &SweepResult, spec: &CampaignSpec) -> Table {
-    let title = format!("Sweep `{name}` — attack {}", sweep.kind.paper_id());
+    let title = format!("Sweep `{name}` — attack {}", sweep.family.paper_id());
     // Countermeasure reporting is derived, never measured: overhead and
     // detection are pure functions of each planned attack, so the cells'
     // bytes stay identical whether or not these columns print.
@@ -1008,11 +1008,11 @@ fn usage_error(message: &str, usage: &str) -> ExitCode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use neurofi_core::{AttackKind, SweepCell};
+    use neurofi_core::{AttackFamily, LayerSel, SweepCell};
 
     fn result(baseline: f64, accuracies: &[f64]) -> SweepResult {
         SweepResult {
-            kind: AttackKind::InhibitoryThreshold,
+            family: AttackFamily::Threshold(LayerSel::Inhibitory),
             baseline_accuracy: baseline,
             cells: accuracies
                 .iter()
@@ -1059,7 +1059,7 @@ mod tests {
     fn planned_result(spec: &CampaignSpec, accuracy: f64) -> SweepResult {
         let plan = spec.plan();
         SweepResult {
-            kind: spec.scenario.kind(),
+            family: spec.scenario.family,
             baseline_accuracy: 0.55,
             cells: plan
                 .jobs
@@ -1107,8 +1107,9 @@ mod tests {
             .push(Axis::detectors(vec![DetectorSel::DummyNeuron]));
         armed.validate().unwrap();
         let sweep = planned_result(&armed, 0.4);
-        assert_eq!(sweep.kind, AttackKind::GlobalVdd);
+        assert_eq!(sweep.family, AttackFamily::Vdd);
         let rendered = sweep_table("shield", &sweep, &armed).to_markdown();
+        assert!(rendered.contains("Sweep `shield` — attack 5"), "{rendered}");
         assert!(rendered.contains("overhead"), "{rendered}");
         assert!(rendered.contains("detection"), "{rendered}");
         assert!(rendered.contains("+65% area"), "{rendered}");

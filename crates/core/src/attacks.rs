@@ -1,22 +1,21 @@
-//! Runnable implementations of the paper's five attacks.
+//! The experiment protocol every attack runs under.
 //!
 //! Every attack follows the paper's experimental protocol (§IV-A): build
 //! the Diehl&Cook network, *train it under the fault* (power attacks
 //! corrupt training, not just inference), derive neuron-class assignments,
-//! and measure classification accuracy on a held-out set. Outcomes pair
-//! the attacked accuracy with a fault-free baseline trained identically.
+//! and measure classification accuracy on a held-out set. One attack is
+//! one [`FaultPlan`] run through [`ExperimentSetup::run_with_plan`], and
+//! an [`AttackOutcome`] pairs it with the fault-free
+//! [`ExperimentSetup::baseline`], trained identically.
 
 use std::sync::{Mutex, PoisonError};
 
-use neurofi_analog::PowerTransferTable;
 use neurofi_data::{LabeledImages, SynthDigits};
 use neurofi_snn::diehl_cook::{DiehlCook2015, DiehlCookConfig};
 use neurofi_snn::trainer::{evaluate, train, EncodedImages, Presentations, TrainOptions};
 
-use crate::error::Error;
-use crate::injection::{FaultPlan, TargetLayer};
+use crate::injection::FaultPlan;
 use crate::sweep::Parallelism;
-use crate::threat::AttackKind;
 
 /// A complete experiment description: network configuration, dataset
 /// sizes and seeds.
@@ -254,213 +253,32 @@ pub struct RunMeasurement {
     pub silent_fraction: f64,
 }
 
-/// The result of one attack experiment.
+/// The result of one attack experiment: the fault-free and the
+/// attacked run.
 #[derive(Debug, Clone)]
 pub struct AttackOutcome {
-    /// Which of the five attacks ran.
-    pub kind: AttackKind,
-    /// Fault-free accuracy.
-    pub baseline_accuracy: f64,
-    /// Accuracy under attack.
-    pub attacked_accuracy: f64,
-    /// Baseline activity metrics.
+    /// Fault-free run.
     pub baseline: RunMeasurement,
-    /// Attacked activity metrics.
+    /// Run under attack.
     pub attacked: RunMeasurement,
-    /// The fault plan that was applied.
-    pub plan: FaultPlan,
 }
 
 impl AttackOutcome {
     /// Relative accuracy change in percent, the paper's headline metric
     /// (−85.65 means the accuracy dropped by 85.65% of its baseline).
     pub fn relative_change_percent(&self) -> f64 {
-        if self.baseline_accuracy == 0.0 {
+        let baseline = self.baseline.accuracy;
+        if baseline == 0.0 {
             return 0.0;
         }
-        (self.attacked_accuracy - self.baseline_accuracy) / self.baseline_accuracy * 100.0
-    }
-}
-
-/// Common interface of the five attacks.
-pub trait Attack {
-    /// Which paper attack this is.
-    fn kind(&self) -> AttackKind;
-
-    /// The fault plan this attack injects.
-    fn fault_plan(&self) -> FaultPlan;
-
-    /// Runs baseline and attacked experiments.
-    ///
-    /// # Errors
-    /// Reserved for configurations that require circuit characterisation;
-    /// the built-in attacks currently always succeed.
-    fn run(&self, setup: &ExperimentSetup) -> Result<AttackOutcome, Error> {
-        let baseline = setup.baseline();
-        self.run_with_baseline(setup, baseline)
-    }
-
-    /// Runs only the attacked experiment, reusing a precomputed baseline.
-    ///
-    /// # Errors
-    /// See [`Attack::run`].
-    fn run_with_baseline(
-        &self,
-        setup: &ExperimentSetup,
-        baseline: RunMeasurement,
-    ) -> Result<AttackOutcome, Error> {
-        let plan = self.fault_plan();
-        let attacked = setup.run_with_plan(&plan);
-        Ok(AttackOutcome {
-            kind: self.kind(),
-            baseline_accuracy: baseline.accuracy,
-            attacked_accuracy: attacked.accuracy,
-            baseline,
-            attacked,
-            plan,
-        })
-    }
-}
-
-/// Attack 1: input-spike (driver) corruption — the `theta` sweep of
-/// Fig. 7b.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct InputCorruptionAttack {
-    /// Relative change of the membrane voltage per input spike
-    /// (−0.20 for the paper's worst case).
-    pub theta_change: f64,
-}
-
-impl InputCorruptionAttack {
-    /// Creates the attack with the given relative theta change.
-    ///
-    /// # Panics
-    /// Panics if the implied drive scale is not positive.
-    pub fn new(theta_change: f64) -> InputCorruptionAttack {
-        assert!(
-            theta_change > -1.0 && theta_change.is_finite(),
-            "theta change must be greater than -1, got {theta_change}"
-        );
-        InputCorruptionAttack { theta_change }
-    }
-}
-
-impl Attack for InputCorruptionAttack {
-    fn kind(&self) -> AttackKind {
-        AttackKind::InputSpikeCorruption
-    }
-
-    fn fault_plan(&self) -> FaultPlan {
-        FaultPlan::drive_only(1.0 + self.theta_change)
-    }
-}
-
-/// Attacks 2–4: membrane-threshold manipulation of the excitatory layer,
-/// the inhibitory layer, or both.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ThresholdAttack {
-    /// Target layer; `None` attacks both layers at 100% (Attack 4).
-    pub layer: Option<TargetLayer>,
-    /// Relative threshold change.
-    pub rel_change: f64,
-    /// Fraction of the layer affected (ignored for Attack 4, which is
-    /// defined at 100%).
-    pub fraction: f64,
-}
-
-impl ThresholdAttack {
-    /// Attack 2: excitatory layer only.
-    pub fn excitatory(rel_change: f64, fraction: f64) -> ThresholdAttack {
-        ThresholdAttack {
-            layer: Some(TargetLayer::Excitatory),
-            rel_change,
-            fraction,
-        }
-    }
-
-    /// Attack 3: inhibitory layer only.
-    pub fn inhibitory(rel_change: f64, fraction: f64) -> ThresholdAttack {
-        ThresholdAttack {
-            layer: Some(TargetLayer::Inhibitory),
-            rel_change,
-            fraction,
-        }
-    }
-
-    /// Attack 4: both layers at 100%.
-    pub fn both(rel_change: f64) -> ThresholdAttack {
-        ThresholdAttack {
-            layer: None,
-            rel_change,
-            fraction: 1.0,
-        }
-    }
-}
-
-impl Attack for ThresholdAttack {
-    fn kind(&self) -> AttackKind {
-        match self.layer {
-            Some(TargetLayer::Excitatory) => AttackKind::ExcitatoryThreshold,
-            Some(TargetLayer::Inhibitory) => AttackKind::InhibitoryThreshold,
-            None => AttackKind::BothLayerThreshold,
-        }
-    }
-
-    fn fault_plan(&self) -> FaultPlan {
-        match self.layer {
-            Some(layer) => FaultPlan::layer_threshold(layer, self.rel_change, self.fraction),
-            None => FaultPlan::both_layer_threshold(self.rel_change),
-        }
-    }
-}
-
-/// Attack 5: black-box global VDD manipulation — corrupts drive *and*
-/// both layer thresholds through the circuit transfer table (Fig. 9a).
-#[derive(Debug, Clone, PartialEq)]
-pub struct GlobalVddAttack {
-    /// The manipulated supply voltage.
-    pub vdd: f64,
-    /// VDD → parameter transfer table (paper-nominal by default).
-    pub transfer: PowerTransferTable,
-}
-
-impl GlobalVddAttack {
-    /// Creates the attack with the paper's nominal transfer table.
-    ///
-    /// # Panics
-    /// Panics if `vdd` is not positive and finite.
-    pub fn new(vdd: f64) -> GlobalVddAttack {
-        assert!(
-            vdd.is_finite() && vdd > 0.0,
-            "vdd must be positive, got {vdd}"
-        );
-        GlobalVddAttack {
-            vdd,
-            transfer: PowerTransferTable::paper_nominal(),
-        }
-    }
-
-    /// Uses a custom (e.g. circuit-measured) transfer table.
-    #[must_use]
-    pub fn with_transfer(mut self, transfer: PowerTransferTable) -> GlobalVddAttack {
-        self.transfer = transfer;
-        self
-    }
-}
-
-impl Attack for GlobalVddAttack {
-    fn kind(&self) -> AttackKind {
-        AttackKind::GlobalVdd
-    }
-
-    fn fault_plan(&self) -> FaultPlan {
-        FaultPlan::from_vdd(self.vdd, &self.transfer)
+        (self.attacked.accuracy - baseline) / baseline * 100.0
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::injection::TargetLayer;
 
     fn tiny_setup(seed: u64) -> ExperimentSetup {
         // Deliberately small: these tests check plumbing and ordering, not
@@ -474,39 +292,14 @@ mod tests {
     }
 
     #[test]
-    fn attack_kinds_and_plans_are_consistent() {
-        assert_eq!(
-            InputCorruptionAttack::new(-0.2).kind(),
-            AttackKind::InputSpikeCorruption
-        );
-        assert_eq!(
-            ThresholdAttack::excitatory(-0.2, 1.0).kind(),
-            AttackKind::ExcitatoryThreshold
-        );
-        assert_eq!(
-            ThresholdAttack::inhibitory(-0.2, 0.5).kind(),
-            AttackKind::InhibitoryThreshold
-        );
-        assert_eq!(
-            ThresholdAttack::both(-0.2).kind(),
-            AttackKind::BothLayerThreshold
-        );
-        assert_eq!(GlobalVddAttack::new(0.8).kind(), AttackKind::GlobalVdd);
-
-        let plan = ThresholdAttack::both(-0.2).fault_plan();
-        assert_eq!(plan.thresholds.len(), 2);
-        let plan = GlobalVddAttack::new(0.8).fault_plan();
-        assert!(plan.drive.is_some());
-    }
-
-    #[test]
     fn zero_faults_reproduce_baseline() {
         let setup = tiny_setup(3);
-        let baseline = setup.baseline();
-        let outcome = InputCorruptionAttack::new(0.0)
-            .run_with_baseline(&setup, baseline)
-            .unwrap();
-        assert_eq!(outcome.baseline_accuracy, outcome.attacked_accuracy);
+        // A theta change of 0: the drive keeps its nominal scale.
+        let outcome = AttackOutcome {
+            baseline: setup.baseline(),
+            attacked: setup.run_with_plan(&FaultPlan::drive_only(1.0)),
+        };
+        assert_eq!(outcome.baseline.accuracy, outcome.attacked.accuracy);
         assert!(outcome.relative_change_percent().abs() < 1e-12);
     }
 
@@ -524,22 +317,26 @@ mod tests {
             "baseline {:.2}",
             baseline.accuracy
         );
-        let il = ThresholdAttack::inhibitory(-0.20, 1.0)
-            .run_with_baseline(&setup, baseline)
-            .unwrap();
-        let el = ThresholdAttack::excitatory(-0.20, 1.0)
-            .run_with_baseline(&setup, baseline)
-            .unwrap();
+        let il = setup.run_with_plan(&FaultPlan::layer_threshold(
+            TargetLayer::Inhibitory,
+            -0.20,
+            1.0,
+        ));
+        let el = setup.run_with_plan(&FaultPlan::layer_threshold(
+            TargetLayer::Excitatory,
+            -0.20,
+            1.0,
+        ));
         assert!(
-            il.attacked_accuracy < el.attacked_accuracy,
+            il.accuracy < el.accuracy,
             "IL {:.2} must be below EL {:.2}",
-            il.attacked_accuracy,
-            el.attacked_accuracy
+            il.accuracy,
+            el.accuracy
         );
         assert!(
-            il.attacked_accuracy < 0.30,
+            il.accuracy < 0.30,
             "IL attack should approach chance, got {:.2}",
-            il.attacked_accuracy
+            il.accuracy
         );
     }
 
@@ -565,9 +362,6 @@ mod tests {
     #[test]
     fn outcome_metrics() {
         let outcome = AttackOutcome {
-            kind: AttackKind::GlobalVdd,
-            baseline_accuracy: 0.80,
-            attacked_accuracy: 0.12,
             baseline: RunMeasurement {
                 accuracy: 0.80,
                 mean_activity: 100.0,
@@ -578,14 +372,7 @@ mod tests {
                 mean_activity: 10.0,
                 silent_fraction: 0.5,
             },
-            plan: FaultPlan::none(),
         };
         assert!((outcome.relative_change_percent() + 85.0).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "greater than -1")]
-    fn rejects_impossible_theta() {
-        InputCorruptionAttack::new(-1.5);
     }
 }

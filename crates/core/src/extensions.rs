@@ -16,7 +16,6 @@ use crate::attacks::{AttackOutcome, ExperimentSetup, RunMeasurement};
 use crate::error::Error;
 use crate::injection::FaultPlan;
 use crate::sweep::{run_indexed, BaselineCache, PROCESS_INPUT_BUDGET};
-use crate::threat::AttackKind;
 use neurofi_analog::PowerTransferTable;
 use neurofi_snn::diehl_cook::DiehlCook2015;
 use neurofi_snn::trainer::{evaluate, train, train_with_hook, Presentations};
@@ -142,9 +141,8 @@ pub fn weight_fault_sweep(
     let mut net = DiehlCook2015::new(setup.network.clone(), setup.network_seed);
     let report = train(&mut net, train_set, &setup.train_options);
     let n_classes = setup.train_options.n_classes;
-    let clean_accuracy = evaluate(&mut net, &report.assignments, test_set, n_classes);
     let baseline = RunMeasurement {
-        accuracy: clean_accuracy,
+        accuracy: evaluate(&mut net, &report.assignments, test_set, n_classes),
         mean_activity: report.mean_activity,
         silent_fraction: report.silent_fraction,
     };
@@ -154,17 +152,13 @@ pub fn weight_fault_sweep(
         // Each task borrows the sets itself: `dyn Presentations` is not
         // `Sync`.
         let (_, test_set) = inputs.sets();
-        let attacked_accuracy = evaluate(&mut corrupted, &report.assignments, test_set, n_classes);
+        let accuracy = evaluate(&mut corrupted, &report.assignments, test_set, n_classes);
         AttackOutcome {
-            kind: AttackKind::InputSpikeCorruption, // nearest taxonomy entry
-            baseline_accuracy: clean_accuracy,
-            attacked_accuracy,
             baseline,
             attacked: RunMeasurement {
-                accuracy: attacked_accuracy,
+                accuracy,
                 ..baseline
             },
-            plan: FaultPlan::none(),
         }
     });
     Ok(outcomes)
@@ -211,26 +205,20 @@ impl TransientGlitchAttack {
     pub fn run(&self, setup: &ExperimentSetup) -> Result<AttackOutcome, Error> {
         let inputs = setup.inputs(&PROCESS_INPUT_BUDGET);
         let (train_set, test_set) = inputs.sets();
-        let baseline = setup.run_on(train_set, test_set, &FaultPlan::none());
-        let (attacked, plan) = self.run_on(setup, train_set, test_set);
         Ok(AttackOutcome {
-            kind: AttackKind::GlobalVdd,
-            baseline_accuracy: baseline.accuracy,
-            attacked_accuracy: attacked.accuracy,
-            baseline,
-            attacked,
-            plan,
+            baseline: setup.run_on(train_set, test_set, &FaultPlan::none()),
+            attacked: self.run_on(setup, train_set, test_set),
         })
     }
 
     /// The glitched training and nominal-supply evaluation on this seed's
-    /// sets, already built; returns the run and the glitch's fault plan.
+    /// sets, already built.
     fn run_on(
         &self,
         setup: &ExperimentSetup,
         train_set: &dyn Presentations,
         test_set: &dyn Presentations,
-    ) -> (RunMeasurement, FaultPlan) {
+    ) -> RunMeasurement {
         let mut net = DiehlCook2015::new(setup.network.clone(), setup.network_seed);
         let plan = FaultPlan::from_vdd(self.vdd, &self.transfer);
         let (from, to) = (self.from_sample, self.to_sample);
@@ -245,12 +233,11 @@ impl TransientGlitchAttack {
         net.clear_faults();
         let n_classes = setup.train_options.n_classes;
         let accuracy = evaluate(&mut net, &report.assignments, test_set, n_classes);
-        let attacked = RunMeasurement {
+        RunMeasurement {
             accuracy,
             mean_activity: report.mean_activity,
             silent_fraction: report.silent_fraction,
-        };
-        (attacked, plan)
+        }
     }
 
     /// Fraction of training samples under the glitch for a dataset of
@@ -304,7 +291,7 @@ pub fn glitch_duty_sweep(
         } else {
             let (train_set, test_set) = inputs.sets();
             let attack = TransientGlitchAttack::new(vdd, 0, to);
-            attack.run_on(&setup, train_set, test_set).0.accuracy
+            attack.run_on(&setup, train_set, test_set).accuracy
         };
         (duty, accuracy)
     });
@@ -330,7 +317,7 @@ mod tests {
         let outcome = WeightFaultAttack::new(WeightFaultKind::Scale(1.0))
             .run(&setup)
             .unwrap();
-        assert_eq!(outcome.baseline_accuracy, outcome.attacked_accuracy);
+        assert_eq!(outcome.baseline.accuracy, outcome.attacked.accuracy);
     }
 
     #[test]
@@ -343,9 +330,9 @@ mod tests {
         .run(&setup)
         .unwrap();
         assert!(
-            outcome.attacked_accuracy <= 0.2,
+            outcome.attacked.accuracy <= 0.2,
             "zeroed weights must collapse accuracy, got {:.2}",
-            outcome.attacked_accuracy
+            outcome.attacked.accuracy
         );
     }
 
@@ -359,10 +346,10 @@ mod tests {
         .run(&setup)
         .unwrap();
         assert!(
-            outcome.attacked_accuracy > 0.5 * outcome.baseline_accuracy,
+            outcome.attacked.accuracy > 0.5 * outcome.baseline.accuracy,
             "5% stuck-at-zero should be tolerable: {:.2} vs {:.2}",
-            outcome.attacked_accuracy,
-            outcome.baseline_accuracy
+            outcome.attacked.accuracy,
+            outcome.baseline.accuracy
         );
     }
 
@@ -397,7 +384,7 @@ mod tests {
         let rows = glitch_duty_sweep(&BaselineCache::new(&setup), 0.8, &[0.0, 0.3, 1.0]).unwrap();
         let glitched = |to| {
             let attack = TransientGlitchAttack::new(0.8, 0, to);
-            attack.run(&setup).unwrap().attacked_accuracy
+            attack.run(&setup).unwrap().attacked.accuracy
         };
         let expected = [setup.baseline().accuracy, glitched(30), glitched(100)];
         for ((_, accuracy), expected) in rows.iter().zip(expected) {
@@ -419,7 +406,7 @@ mod tests {
         let outcome = TransientGlitchAttack::new(0.8, 0, 30).run(&setup).unwrap();
         // Accuracy may or may not recover, but the run must complete and
         // report sane numbers.
-        assert!((0.0..=1.0).contains(&outcome.attacked_accuracy));
+        assert!((0.0..=1.0).contains(&outcome.attacked.accuracy));
     }
 
     #[test]

@@ -340,4 +340,11 @@ mod tests {
     fn rejects_bad_fraction() {
         FaultPlan::layer_threshold(TargetLayer::Excitatory, -0.2, 1.5);
     }
+
+    #[test]
+    #[should_panic(expected = "drive scale must be positive")]
+    fn rejects_non_positive_drive_scale() {
+        // A theta change of −100%: no drive at all.
+        FaultPlan::drive_only(0.0);
+    }
 }

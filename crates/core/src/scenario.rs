@@ -25,6 +25,7 @@
 //! | `seed` | integers | per-cell seed (replaces the averaged seed list) |
 //! | `defense` | `none`, `robust_driver`, `bandgap_threshold`, `sized_neuron`, `comparator` | §V hardening applied to the cell's transfer table |
 //! | `detector` | `none`, `dummy_neuron` | §V-C dummy-neuron VFI detector armed for the cell |
+//! | `neurons` | integers in \[1, 4096\] | simulate the whole analog layer at the cell's VDD (vdd family) |
 //!
 //! ## Grammar
 //!
@@ -53,11 +54,9 @@ use std::str::FromStr;
 
 use neurofi_analog::{PowerTransferTable, TransferPoint};
 
-use crate::defense::Defense;
 use crate::error::Error;
 use crate::injection::TargetLayer;
 use crate::sweep::{layer_design, CellAttack, CellJob, SweepPlan};
-use crate::threat::AttackKind;
 
 /// Hard cap on axes per scenario (the attack space has ten axis
 /// kinds; duplicates are rejected anyway).
@@ -233,9 +232,9 @@ impl fmt::Display for LayerSel {
 }
 
 /// Which §V hardening a cell's transfer table is run through —
-/// `None` is the undefended circuit, everything else maps onto a
-/// [`Defense`] variant (with `sized_neuron` fixed at the paper's
-/// measured residual factor).
+/// `None` is the undefended circuit. The hardening itself and its
+/// overhead are [`DefenseSel::harden_table`] and
+/// [`DefenseSel::paper_overhead`] (in [`crate::defense`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DefenseSel {
     /// No hardening — the undefended circuit (the legacy default).
@@ -281,17 +280,6 @@ impl DefenseSel {
                  bandgap_threshold sized_neuron comparator)",
                 truncate_token(other)
             ))),
-        }
-    }
-
-    /// The concrete §V hardening, `None` for the undefended circuit.
-    pub fn defense(self) -> Option<Defense> {
-        match self {
-            DefenseSel::None => None,
-            DefenseSel::RobustDriver => Some(Defense::RobustDriver),
-            DefenseSel::BandgapThreshold => Some(Defense::BandgapThreshold),
-            DefenseSel::SizedNeuron => Some(Defense::sized_neuron_paper()),
-            DefenseSel::Comparator => Some(Defense::ComparatorFirstStage),
         }
     }
 }
@@ -714,16 +702,17 @@ impl AttackFamily {
             })
     }
 
-    /// The paper attack kind this family reports as. A `layer` axis
-    /// refines the layer per cell; the scenario-level kind reflects the
-    /// family's default selection.
-    pub fn kind(self) -> AttackKind {
+    /// The paper's attack number (§IV): 1 is theta, 2–4 are the
+    /// threshold attacks on the excitatory layer, the inhibitory layer
+    /// and both, 5 is VDD. A `layer` axis refines the layer per cell;
+    /// a scenario reports its family's default selection.
+    pub fn paper_id(self) -> u8 {
         match self {
-            AttackFamily::Threshold(LayerSel::Excitatory) => AttackKind::ExcitatoryThreshold,
-            AttackFamily::Threshold(LayerSel::Inhibitory) => AttackKind::InhibitoryThreshold,
-            AttackFamily::Threshold(LayerSel::Both) => AttackKind::BothLayerThreshold,
-            AttackFamily::Theta => AttackKind::InputSpikeCorruption,
-            AttackFamily::Vdd => AttackKind::GlobalVdd,
+            AttackFamily::Theta => 1,
+            AttackFamily::Threshold(LayerSel::Excitatory) => 2,
+            AttackFamily::Threshold(LayerSel::Inhibitory) => 3,
+            AttackFamily::Threshold(LayerSel::Both) => 4,
+            AttackFamily::Vdd => 5,
         }
     }
 
@@ -752,7 +741,7 @@ impl fmt::Display for AttackFamily {
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
     /// The attack family (determines the primary axis and the reported
-    /// [`AttackKind`]).
+    /// paper attack, [`AttackFamily::paper_id`]).
     pub family: AttackFamily,
     /// The axes, in sweep order (first axis slowest; cells are
     /// enumerated row-major).
@@ -853,11 +842,6 @@ impl ScenarioSpec {
             }) => seeds,
             _ => &self.seeds,
         }
-    }
-
-    /// The scenario-level attack kind (see [`AttackFamily::kind`]).
-    pub fn kind(&self) -> AttackKind {
-        self.family.kind()
     }
 
     /// Rejects scenarios that cannot run. Checks the axis set (primary
@@ -1188,7 +1172,7 @@ impl ScenarioSpec {
             }
         }
         SweepPlan {
-            kind: self.kind(),
+            family: self.family,
             seeds: self.baseline_seeds().to_vec(),
             axes: self.axes.clone(),
             jobs,
@@ -1746,8 +1730,8 @@ mod tests {
             AttackFamily::Threshold(LayerSel::Both)
         );
         assert_eq!(plan.jobs[2].attack.rel_change, Some(-0.2));
-        // The scenario-level kind keeps the family default.
-        assert_eq!(plan.kind, AttackKind::InhibitoryThreshold);
+        // The scenario-level family keeps its default selection.
+        assert_eq!(plan.family, AttackFamily::Threshold(LayerSel::Inhibitory));
     }
 
     #[test]
@@ -1941,9 +1925,6 @@ mod tests {
             err.len()
         );
         assert!(DetectorSel::parse(&huge).is_err());
-        // Only the undefended selection maps to no hardening.
-        assert!(DefenseSel::None.defense().is_none());
-        assert!(DefenseSel::BandgapThreshold.defense().is_some());
     }
 
     #[test]
@@ -1953,9 +1934,14 @@ mod tests {
         }
         assert!(AttackFamily::parse("nope").is_err());
         assert!(AttackFamily::parse(&"x".repeat(MAX_NAME_LEN + 1)).is_err());
-        assert_eq!(
-            AttackFamily::Threshold(LayerSel::Both).kind(),
-            AttackKind::BothLayerThreshold
-        );
+    }
+
+    #[test]
+    fn paper_ids_are_one_to_five() {
+        let mut ids: Vec<u8> = AttackFamily::ALL.map(AttackFamily::paper_id).to_vec();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![1, 2, 3, 4, 5]);
+        assert_eq!(AttackFamily::Theta.paper_id(), 1);
+        assert_eq!(AttackFamily::Vdd.paper_id(), 5);
     }
 }

@@ -9,17 +9,15 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use neurofi_core::detection::{self, DummyNeuronDetector};
-use neurofi_core::{Defense, PowerTransferTable};
+use neurofi_core::{DefenseSel, PowerTransferTable};
 
-/// The four §V defenses under their axis-grammar names.
-fn defenses() -> Vec<(&'static str, Defense)> {
-    vec![
-        ("robust_driver", Defense::RobustDriver),
-        ("bandgap_threshold", Defense::BandgapThreshold),
-        ("sized_neuron", Defense::sized_neuron_paper()),
-        ("comparator", Defense::ComparatorFirstStage),
-    ]
-}
+/// The four §V defenses; each prints under its axis-grammar name.
+const DEFENSES: [DefenseSel; 4] = [
+    DefenseSel::RobustDriver,
+    DefenseSel::BandgapThreshold,
+    DefenseSel::SizedNeuron,
+    DefenseSel::Comparator,
+];
 
 fn render() -> String {
     let table = PowerTransferTable::paper_nominal();
@@ -30,7 +28,8 @@ fn render() -> String {
          # detector <vdd> <deviation%_bits> <flagged> — dummy-neuron count deviation vs the 10% rule\n\
          # Regenerate with: UPDATE_GOLDEN=1 cargo test -p neurofi-core --test golden_defense\n",
     );
-    for (name, defense) in defenses() {
+    for defense in DEFENSES {
+        let name = defense.name();
         let hardened = defense.harden_table(&table);
         for point in hardened.points() {
             writeln!(
@@ -105,23 +104,24 @@ fn golden_vectors_encode_the_paper_claims() {
     // sizing ratio), and the detector trips at deep undervolting while
     // staying quiet at nominal.
     let table = PowerTransferTable::paper_nominal();
-    for (name, defense) in defenses() {
+    for defense in DEFENSES {
         let stock = table.sample(0.8);
         let hardened = defense.harden_table(&table).sample(0.8);
         let (stock_excursion, residual) = match defense {
-            Defense::RobustDriver => (stock.drive_scale - 1.0, hardened.drive_scale - 1.0),
-            Defense::BandgapThreshold => (
+            DefenseSel::None => unreachable!("the undefended circuit is not a §V defense"),
+            DefenseSel::RobustDriver => (stock.drive_scale - 1.0, hardened.drive_scale - 1.0),
+            DefenseSel::BandgapThreshold => (
                 stock.if_threshold_scale - 1.0,
                 hardened.if_threshold_scale - 1.0,
             ),
-            Defense::SizedNeuron { .. } | Defense::ComparatorFirstStage => (
+            DefenseSel::SizedNeuron | DefenseSel::Comparator => (
                 stock.ah_threshold_scale - 1.0,
                 hardened.ah_threshold_scale - 1.0,
             ),
         };
         assert!(
             residual.abs() < stock_excursion.abs() / 3.0,
-            "{name}: residual {residual} vs stock {stock_excursion}"
+            "{defense}: residual {residual} vs stock {stock_excursion}"
         );
     }
     let detector = DummyNeuronDetector::new(1000.0).unwrap();

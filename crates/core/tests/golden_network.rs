@@ -110,7 +110,7 @@ fn render() -> String {
         writeln!(
             out,
             "extension {name} {:016x} {:016x}",
-            outcome.attacked_accuracy.to_bits(),
+            outcome.attacked.accuracy.to_bits(),
             outcome.attacked.mean_activity.to_bits(),
         )
         .unwrap();

@@ -4,8 +4,9 @@
 //! Scheduling is pull-based work stealing at the granularity the PR 1
 //! in-process pool established: idle workers request batches, the
 //! coordinator pops pending cell indices from the campaign its
-//! [`SchedulingPolicy`] picks (FIFO by default; weighted round-robin
-//! under `--fair`, so interleaved campaigns all make latency progress),
+//! scheduling policy ([`PolicyKind`]) picks (FIFO by default; weighted
+//! round-robin under `--fair`, so interleaved campaigns all make latency
+//! progress),
 //! and a worker that dies (or times out) simply has its in-flight cells
 //! requeued for whoever asks next. Batches are sized by the `threads`
 //! each worker reported in its `Hello` (capacity-aware batching — a
@@ -55,7 +56,7 @@ use neurofi_store::Store;
 
 use crate::campaign::NamedCampaign;
 use crate::checkpoint::Journal;
-use crate::schedule::{Candidate, PolicyKind, SchedulingPolicy};
+use crate::schedule::{Candidate, PolicyKind, Scheduler};
 use crate::transport::{Canceller, Connection, Listener, TcpServerListener};
 use crate::wire::{CampaignProgress, Message, PROTOCOL_VERSION};
 use crate::DistError;
@@ -470,7 +471,7 @@ impl CampaignState {
 struct State {
     campaigns: Vec<CampaignState>,
     /// Picks which campaign serves each batch claim.
-    policy: Box<dyn SchedulingPolicy>,
+    scheduler: Scheduler,
     workers_connected: usize,
     workers_seen: usize,
     /// Campaigns accepted by live submission. The serve loop treats a
@@ -738,7 +739,7 @@ pub fn serve_transport<L: Listener>(
     let shared = Shared {
         state: Mutex::new(State {
             campaigns: states,
-            policy: config.policy.build(),
+            scheduler: Scheduler::new(config.policy),
             workers_connected: 0,
             workers_seen: 0,
             submissions_accepted: 0,
@@ -922,18 +923,9 @@ fn claim_batch(shared: &Shared, threads: u32, requested: u32) -> Option<(usize, 
             .map(|(id, c)| Candidate {
                 id,
                 weight: c.campaign.weight,
-                pending: c.pending.len(),
             })
             .collect();
-        if !candidates.is_empty() {
-            let picked = state.policy.pick(&candidates);
-            // A policy returning a non-candidate degrades to FIFO
-            // rather than panicking or stalling.
-            let id = if candidates.iter().any(|c| c.id == picked) {
-                picked
-            } else {
-                candidates[0].id
-            };
+        if let Some(id) = state.scheduler.pick(&candidates) {
             let campaign = &mut state.campaigns[id];
             let take = capacity_batch(threads, requested, campaign.pending.len());
             let batch: Vec<usize> = campaign.pending.drain(..take).collect();
@@ -1530,7 +1522,7 @@ mod tests {
         Shared {
             state: Mutex::new(State {
                 campaigns,
-                policy: policy.build(),
+                scheduler: Scheduler::new(policy),
                 workers_connected: 0,
                 workers_seen: 0,
                 submissions_accepted: 0,

@@ -31,10 +31,10 @@
 //!   coordinator and worker are generic over: TCP in production, a
 //!   deterministic in-process [`LoopbackHub`] in the scheduler tests (no
 //!   ports, no timing sleeps).
-//! * [`schedule`] — pluggable cross-campaign [`SchedulingPolicy`]: FIFO
-//!   for compatibility, weighted round-robin (`--fair`) so interleaved
-//!   campaigns all make latency progress. Policies cannot affect merged
-//!   results — cells are pure and merges slot-addressed.
+//! * [`schedule`] — the cross-campaign drain order ([`PolicyKind`]):
+//!   FIFO by default, weighted round-robin (`--fair`) so interleaved
+//!   campaigns all make latency progress. The order cannot affect
+//!   merged results — cells are pure and merges slot-addressed.
 //! * [`coordinator`] — pull-based multi-campaign scheduler: one fleet
 //!   serves every queued campaign, batches are sized by each worker's
 //!   reported thread width, and dead workers' cells requeue without
@@ -110,7 +110,7 @@ pub use coordinator::{
     campaign_journal_path, capacity_batch, serve_transport, CampaignSweep, CoordinatedRun,
     Coordinator, CoordinatorConfig, CELLS_PER_THREAD,
 };
-pub use schedule::{Candidate, Fifo, PolicyKind, SchedulingPolicy, WeightedRoundRobin};
+pub use schedule::PolicyKind;
 pub use transport::{
     loopback_pair, Connection, Listener, LoopbackConn, LoopbackHub, LoopbackListener,
     TcpConnection, TcpServerListener,

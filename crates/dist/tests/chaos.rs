@@ -39,7 +39,7 @@ fn temp_dir(name: &str) -> PathBuf {
 }
 
 fn assert_bit_identical(distributed: &SweepResult, serial: &SweepResult) {
-    assert_eq!(distributed.kind, serial.kind);
+    assert_eq!(distributed.family, serial.family);
     assert_eq!(
         distributed.baseline_accuracy.to_bits(),
         serial.baseline_accuracy.to_bits(),

@@ -22,7 +22,7 @@ fn temp_dir(name: &str) -> PathBuf {
 }
 
 fn assert_bit_identical(distributed: &SweepResult, serial: &SweepResult) {
-    assert_eq!(distributed.kind, serial.kind);
+    assert_eq!(distributed.family, serial.family);
     assert_eq!(
         distributed.baseline_accuracy.to_bits(),
         serial.baseline_accuracy.to_bits(),
@@ -89,8 +89,8 @@ fn two_campaigns_share_one_fleet_and_stay_bit_identical() {
     let serial_tiny = campaigns[0].spec.run_serial().unwrap();
     let serial_theta = campaigns[1].spec.run_serial().unwrap();
     assert_ne!(
-        serial_tiny.kind, serial_theta.kind,
-        "the two campaigns must sweep different attack kinds"
+        serial_tiny.family, serial_theta.family,
+        "the two campaigns must sweep different attack families"
     );
     let distinct: std::collections::HashSet<u64> = serial_theta
         .cells

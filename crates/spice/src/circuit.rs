@@ -30,40 +30,24 @@ pub enum Engine {
     Sparse,
 }
 
-/// Nonlinear-solver tuning knobs.
-///
-/// The defaults converge for every circuit in this workspace; they mirror
-/// classic SPICE settings (RELTOL / VNTOL / ABSTOL / GMIN).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SolveOptions {
-    /// Maximum Newton iterations per solve.
-    pub max_iter: usize,
-    /// Absolute node-voltage convergence tolerance, volts.
-    pub vntol: f64,
-    /// Relative convergence tolerance.
-    pub reltol: f64,
-    /// Absolute branch-current convergence tolerance, amperes.
-    pub abstol: f64,
-    /// Maximum per-iteration change applied to any node voltage, volts
-    /// (Newton damping; essential for the positive-feedback neuron loops).
-    pub vstep_limit: f64,
-    /// Conductance from every node to ground, siemens. Keeps gate-only and
-    /// capacitor-only nodes well-posed.
-    pub gmin: f64,
-}
+// The nonlinear solver's settings. They converge for every circuit in
+// this workspace and mirror classic SPICE settings (RELTOL / VNTOL /
+// ABSTOL / GMIN).
 
-impl Default for SolveOptions {
-    fn default() -> SolveOptions {
-        SolveOptions {
-            max_iter: 80,
-            vntol: 1.0e-6,
-            reltol: 1.0e-3,
-            abstol: 1.0e-12,
-            vstep_limit: 0.4,
-            gmin: 1.0e-12,
-        }
-    }
-}
+/// Maximum Newton iterations per solve.
+const MAX_ITER: usize = 80;
+/// Absolute node-voltage convergence tolerance, volts.
+const VNTOL: f64 = 1.0e-6;
+/// Relative convergence tolerance.
+const RELTOL: f64 = 1.0e-3;
+/// Absolute branch-current convergence tolerance, amperes.
+const ABSTOL: f64 = 1.0e-12;
+/// Maximum per-iteration change applied to any node voltage, volts
+/// (Newton damping; essential for the positive-feedback neuron loops).
+const VSTEP_LIMIT: f64 = 0.4;
+/// Conductance from every node to ground, siemens. Keeps gate-only and
+/// capacitor-only nodes well-posed.
+const GMIN: f64 = 1.0e-12;
 
 /// Cap on the time points one transient may plan: its `tstop / dt` base
 /// steps plus every source breakpoint before `tstop`. A request over it
@@ -82,9 +66,9 @@ const MAX_TRAN_POINTS: usize = 1 << 25;
 /// Every transient runs one fixed-step path: backward-Euler companion
 /// models, the base step `dt` clipped to land exactly on source
 /// waveform breakpoints, halving on a Newton failure down to
-/// `dt / 1024`, default [`SolveOptions`], and every accepted step handed
-/// to an observer ([`Circuit::tran_observe`]; [`Circuit::tran`] records
-/// them all).
+/// `dt / 1024`, the solver's fixed Newton settings, and every accepted
+/// step handed to an observer ([`Circuit::tran_observe`];
+/// [`Circuit::tran`] records them all).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TranSpec {
     /// Stop time, seconds.
@@ -495,7 +479,6 @@ impl Circuit {
         gmin: f64,
         src_scale: f64,
         companions: Option<(&[f64], f64)>,
-        opts: &SolveOptions,
         context: &str,
     ) -> Result<usize> {
         let n = self.unknown_count();
@@ -505,8 +488,8 @@ impl Circuit {
         // feedback flip) can trap clamped Newton in a 2-cycle; shrinking the
         // voltage clamp every 25 iterations breaks the cycle while leaving
         // well-behaved solves untouched.
-        let mut vlimit = opts.vstep_limit;
-        for iter in 0..opts.max_iter {
+        let mut vlimit = VSTEP_LIMIT;
+        for iter in 0..MAX_ITER {
             if iter > 0 && iter % 25 == 0 {
                 vlimit = (vlimit * 0.5).max(0.01);
             }
@@ -522,9 +505,9 @@ impl Circuit {
                 }
                 let mut delta = new - *xi;
                 let tol = if i < n_nodes {
-                    opts.vntol + opts.reltol * new.abs().max(xi.abs())
+                    VNTOL + RELTOL * new.abs().max(xi.abs())
                 } else {
-                    opts.abstol + opts.reltol * new.abs().max(xi.abs())
+                    ABSTOL + RELTOL * new.abs().max(xi.abs())
                 };
                 if delta.abs() > tol {
                     converged = false;
@@ -541,7 +524,7 @@ impl Circuit {
         }
         Err(Error::Convergence {
             context: context.to_string(),
-            iterations: opts.max_iter,
+            iterations: MAX_ITER,
         })
     }
 
@@ -553,37 +536,28 @@ impl Circuit {
     /// # Errors
     /// [`Error::Convergence`] if all strategies fail; [`Error::Singular`]
     /// for structurally broken circuits.
-    pub fn op(&self, opts: &SolveOptions) -> Result<OpPoint> {
+    pub fn op(&self) -> Result<OpPoint> {
         let mut ws = SolverWorkspace::new(self.unknown_count());
-        self.op_with(&mut ws, opts)
+        self.op_with(&mut ws)
     }
 
     /// [`Circuit::op`] on the chosen [`Engine`].
-    pub fn op_with_engine(&self, engine: Engine, opts: &SolveOptions) -> Result<OpPoint> {
+    pub fn op_with_engine(&self, engine: Engine) -> Result<OpPoint> {
         match engine {
-            Engine::Dense => self.op(opts),
+            Engine::Dense => self.op(),
             Engine::Sparse => {
                 let mut ws = SparseWorkspace::new(self.unknown_count());
-                self.op_with(&mut ws, opts)
+                self.op_with(&mut ws)
             }
         }
     }
 
     /// [`Circuit::op`] reusing the caller's solver workspace (the sweep and
     /// transient drivers call this so every strategy shares one allocation).
-    fn op_with<S: LinearSolver>(&self, ws: &mut S, opts: &SolveOptions) -> Result<OpPoint> {
+    fn op_with<S: LinearSolver>(&self, ws: &mut S) -> Result<OpPoint> {
         let mut x = self.initial_guess();
         if self
-            .newton(
-                ws,
-                &mut x,
-                0.0,
-                opts.gmin,
-                1.0,
-                None,
-                opts,
-                "dc operating point",
-            )
+            .newton(ws, &mut x, 0.0, GMIN, 1.0, None, "dc operating point")
             .is_ok()
         {
             return Ok(self.make_op(x));
@@ -592,29 +566,19 @@ impl Circuit {
         // gmin stepping: start heavily damped, relax toward the real gmin.
         let mut x = self.initial_guess();
         let mut ok = true;
-        for gmin in GminSchedule::standard(opts.gmin).values() {
+        for gmin in GminSchedule::standard(GMIN).values() {
             if self
-                .newton(ws, &mut x, 0.0, gmin, 1.0, None, opts, "gmin stepping")
+                .newton(ws, &mut x, 0.0, gmin, 1.0, None, "gmin stepping")
                 .is_err()
             {
                 ok = false;
                 break;
             }
         }
-        // Finish at the caller's actual gmin (which may be below the floor
-        // of the stepping ramp, or zero).
+        // Finish with a solve at the real gmin, the ramp's floor.
         if ok
             && self
-                .newton(
-                    ws,
-                    &mut x,
-                    0.0,
-                    opts.gmin,
-                    1.0,
-                    None,
-                    opts,
-                    "dc operating point",
-                )
+                .newton(ws, &mut x, 0.0, GMIN, 1.0, None, "dc operating point")
                 .is_ok()
         {
             return Ok(self.make_op(x));
@@ -627,23 +591,13 @@ impl Circuit {
                 ws,
                 &mut x,
                 0.0,
-                opts.gmin.max(1.0e-9),
+                GMIN.max(1.0e-9),
                 scale,
                 None,
-                opts,
                 "source stepping",
             )?;
         }
-        self.newton(
-            ws,
-            &mut x,
-            0.0,
-            opts.gmin,
-            1.0,
-            None,
-            opts,
-            "dc operating point",
-        )?;
+        self.newton(ws, &mut x, 0.0, GMIN, 1.0, None, "dc operating point")?;
         Ok(self.make_op(x))
     }
 
@@ -657,14 +611,9 @@ impl Circuit {
     /// Propagates the first solve failure, or [`Error::Netlist`] if the
     /// named source does not exist. (The override is local to the sweep;
     /// the circuit itself is not modified.)
-    pub fn dc_sweep(
-        &self,
-        source_name: &str,
-        values: &[f64],
-        opts: &SolveOptions,
-    ) -> Result<Vec<OpPoint>> {
+    pub fn dc_sweep(&self, source_name: &str, values: &[f64]) -> Result<Vec<OpPoint>> {
         let mut ws = SolverWorkspace::new(self.unknown_count());
-        self.dc_sweep_with(&mut ws, source_name, values, opts)
+        self.dc_sweep_with(&mut ws, source_name, values)
     }
 
     /// [`Circuit::dc_sweep`] on the chosen [`Engine`].
@@ -673,13 +622,12 @@ impl Circuit {
         engine: Engine,
         source_name: &str,
         values: &[f64],
-        opts: &SolveOptions,
     ) -> Result<Vec<OpPoint>> {
         match engine {
-            Engine::Dense => self.dc_sweep(source_name, values, opts),
+            Engine::Dense => self.dc_sweep(source_name, values),
             Engine::Sparse => {
                 let mut ws = SparseWorkspace::new(self.unknown_count());
-                self.dc_sweep_with(&mut ws, source_name, values, opts)
+                self.dc_sweep_with(&mut ws, source_name, values)
             }
         }
     }
@@ -689,7 +637,6 @@ impl Circuit {
         ws: &mut S,
         source_name: &str,
         values: &[f64],
-        opts: &SolveOptions,
     ) -> Result<Vec<OpPoint>> {
         let mut sweep = self.clone();
         let idx = sweep
@@ -705,20 +652,11 @@ impl Circuit {
             }
             let mut x = warm.clone().unwrap_or_else(|| sweep.initial_guess());
             if sweep
-                .newton(
-                    ws,
-                    &mut x,
-                    0.0,
-                    opts.gmin,
-                    1.0,
-                    None,
-                    opts,
-                    "dc sweep point",
-                )
+                .newton(ws, &mut x, 0.0, GMIN, 1.0, None, "dc sweep point")
                 .is_err()
             {
                 // Fall back to the full strategy chain for this point.
-                let op = sweep.op_with(ws, opts)?;
+                let op = sweep.op_with(ws)?;
                 warm = Some(op.x.clone());
                 out.push(op);
                 continue;
@@ -861,7 +799,6 @@ impl Circuit {
         spec: &TranSpec,
         mut observe: impl FnMut(TranPoint<'_>),
     ) -> Result<TranStats> {
-        let opts = SolveOptions::default();
         let mut stats = TranStats::default();
         // Voltage across each capacitor at the previous accepted step:
         // the whole state of the backward-Euler companion models.
@@ -884,14 +821,13 @@ impl Circuit {
                 ws,
                 &mut x,
                 0.0,
-                opts.gmin,
+                GMIN,
                 1.0,
                 Some((&v_prev, h0)),
-                &opts,
                 "uic initialisation",
             )?;
         } else {
-            x = self.op_with(ws, &opts)?.x;
+            x = self.op_with(ws)?.x;
             for (cap, v) in self.caps.iter().zip(v_prev.iter_mut()) {
                 *v = self.v_at(&x, cap.p) - self.v_at(&x, cap.n);
             }
@@ -934,10 +870,9 @@ impl Circuit {
                     ws,
                     &mut x_try,
                     t + step,
-                    opts.gmin,
+                    GMIN,
                     1.0,
                     Some((&v_prev, step)),
-                    &opts,
                     "transient step",
                 ) {
                     Ok(iterations) => {
@@ -1166,7 +1101,7 @@ mod tests {
             .unwrap();
         net.resistor("R1", vin, mid, 1.0e3).unwrap();
         net.resistor("R2", mid, Netlist::GROUND, 1.0e3).unwrap();
-        let op = net.compile().unwrap().op(&Default::default()).unwrap();
+        let op = net.compile().unwrap().op().unwrap();
         assert!((op.voltage(mid) - 1.0).abs() < 1e-6);
         // Source current: 2V across 2k => 1 mA flowing p->through->n,
         // which by MNA convention is -1 mA (current enters the + terminal).
@@ -1263,13 +1198,12 @@ mod tests {
             net.compile().unwrap()
         };
         let values: Vec<f64> = (0..=20).map(|i| i as f64 / 20.0).collect();
-        let opts = SolveOptions::default();
         let circuit = build();
         let dense = circuit
-            .dc_sweep_with_engine(Engine::Dense, "VIN", &values, &opts)
+            .dc_sweep_with_engine(Engine::Dense, "VIN", &values)
             .unwrap();
         let sparse = circuit
-            .dc_sweep_with_engine(Engine::Sparse, "VIN", &values, &opts)
+            .dc_sweep_with_engine(Engine::Sparse, "VIN", &values)
             .unwrap();
         let out = NodeId(3);
         for (d, s) in dense.iter().zip(&sparse) {
@@ -1322,9 +1256,7 @@ mod tests {
         )
         .unwrap();
         let circuit = net.compile().unwrap();
-        let ops = circuit
-            .dc_sweep("VIN", &[0.0, 0.2, 0.5, 0.8, 1.0], &Default::default())
-            .unwrap();
+        let ops = circuit.dc_sweep("VIN", &[0.0, 0.2, 0.5, 0.8, 1.0]).unwrap();
         let vouts: Vec<f64> = ops.iter().map(|o| o.voltage(out)).collect();
         assert!(vouts[0] > 0.95, "off: {}", vouts[0]);
         assert!(vouts[4] < 0.1, "on: {}", vouts[4]);
@@ -1368,9 +1300,7 @@ mod tests {
         .unwrap();
         let circuit = net.compile().unwrap();
         let values: Vec<f64> = (0..=40).map(|i| i as f64 / 40.0).collect();
-        let ops = circuit
-            .dc_sweep("VIN", &values, &Default::default())
-            .unwrap();
+        let ops = circuit.dc_sweep("VIN", &values).unwrap();
         // Find where vout crosses vdd/2.
         let mut vsw = None;
         for w in ops.windows(2) {
@@ -1412,7 +1342,7 @@ mod tests {
         net.vcvs("E1", y, Netlist::GROUND, a, Netlist::GROUND, 100.0)
             .unwrap();
         net.resistor("RL", y, Netlist::GROUND, 1.0e3).unwrap();
-        let op = net.compile().unwrap().op(&Default::default()).unwrap();
+        let op = net.compile().unwrap().op().unwrap();
         assert!((op.voltage(y) - 1.0).abs() < 1e-6);
     }
 
@@ -1426,7 +1356,7 @@ mod tests {
         net.vccs("G1", Netlist::GROUND, y, a, Netlist::GROUND, 1.0e-3)
             .unwrap();
         net.resistor("RL", y, Netlist::GROUND, 1.0e3).unwrap();
-        let op = net.compile().unwrap().op(&Default::default()).unwrap();
+        let op = net.compile().unwrap().op().unwrap();
         // 0.5 V * 1 mS = 0.5 mA injected into y through 1k => 0.5 V.
         assert!((op.voltage(y) - 0.5).abs() < 1e-6);
     }
@@ -1481,14 +1411,13 @@ mod tests {
         net.resistor("R1", a, Netlist::GROUND, 1.0e3).unwrap();
         // Node b floats entirely.
         net.capacitor("C1", b, b, 1.0e-12).unwrap();
-        let opts = SolveOptions {
-            gmin: 0.0,
-            ..Default::default()
-        };
-        let res = net.compile().unwrap().op(&opts);
+        let circuit = net.compile().unwrap();
+        let mut ws = SolverWorkspace::new(circuit.unknown_count());
+        let mut x = circuit.initial_guess();
+        let res = circuit.newton(&mut ws, &mut x, 0.0, 0.0, 1.0, None, "no gmin");
         assert!(res.is_err());
-        // With default gmin it is fine (b pinned to ground).
-        let op = net.compile().unwrap().op(&Default::default()).unwrap();
+        // With the solver's gmin it is fine (b pinned to ground).
+        let op = circuit.op().unwrap();
         assert_eq!(op.voltage(b), 0.0);
     }
 

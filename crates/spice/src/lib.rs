@@ -79,9 +79,7 @@ pub mod netlist;
 pub mod units;
 pub mod waveform;
 
-pub use circuit::{
-    Circuit, Engine, OpPoint, SolveOptions, TranPoint, TranResult, TranSpec, TranStats,
-};
+pub use circuit::{Circuit, Engine, OpPoint, TranPoint, TranResult, TranSpec, TranStats};
 pub use device::{MosModel, MosType};
 pub use error::Error;
 pub use netlist::{Element, Netlist, NodeId};

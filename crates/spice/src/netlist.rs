@@ -166,7 +166,7 @@ impl Element {
 /// let vdd = net.node("vdd");
 /// net.vsource("VDD", vdd, Netlist::GROUND, Waveform::Dc(1.0));
 /// net.resistor("R1", vdd, Netlist::GROUND, 1.0e6);
-/// let op = net.compile()?.op(&Default::default())?;
+/// let op = net.compile()?.op()?;
 /// assert!((op.voltage(vdd) - 1.0).abs() < 1e-9);
 /// # Ok(())
 /// # }

@@ -148,7 +148,7 @@ proptest! {
         net.vsource("V1", a, Netlist::GROUND, Waveform::Dc(vsrc)).unwrap();
         net.resistor("R1", a, mid, r1).unwrap();
         net.resistor("R2", mid, Netlist::GROUND, r2).unwrap();
-        let op = net.compile().unwrap().op(&Default::default()).unwrap();
+        let op = net.compile().unwrap().op().unwrap();
         let expect = vsrc * r2 / (r1 + r2);
         prop_assert!(
             (op.voltage(mid) - expect).abs() < 1e-6 * vsrc + 1e-9,
@@ -181,9 +181,8 @@ proptest! {
                 .unwrap();
         }
         let circuit = net.compile().unwrap();
-        let opts = Default::default();
-        let dense = circuit.op_with_engine(Engine::Dense, &opts).unwrap();
-        let sparse = circuit.op_with_engine(Engine::Sparse, &opts).unwrap();
+        let dense = circuit.op_with_engine(Engine::Dense).unwrap();
+        let sparse = circuit.op_with_engine(Engine::Sparse).unwrap();
         for &node in &nodes {
             let d = dense.voltage(node);
             let s = sparse.voltage(node);

@@ -6,35 +6,39 @@
 //! ```
 
 use neurofi::core::attacks::ExperimentSetup;
-use neurofi::core::{Attack, ThresholdAttack};
+use neurofi::core::{AttackOutcome, FaultPlan, TargetLayer};
 
-fn main() -> Result<(), neurofi::core::Error> {
+fn main() {
     // The quick setup trains on 400 synthetic digits at 150 ms per sample
     // (~seconds); swap in `ExperimentSetup::paper(42)` for the paper's
     // full 1000-image protocol.
     let setup = ExperimentSetup::quick(42);
 
     println!("training baseline and attacked networks (Attack 3, −20% IL threshold)...");
-    let outcome = ThresholdAttack::inhibitory(-0.20, 1.0).run(&setup)?;
+    // An attack is a fault plan; the network trains and is evaluated
+    // under it, beside a fault-free baseline trained identically.
+    let plan = FaultPlan::layer_threshold(TargetLayer::Inhibitory, -0.20, 1.0);
+    let outcome = AttackOutcome {
+        baseline: setup.baseline(),
+        attacked: setup.run_with_plan(&plan),
+    };
 
     println!();
-    println!("attack:            {}", outcome.kind);
+    println!("attack:            attack 3: inhibitory-layer threshold manipulation");
     println!(
         "baseline accuracy: {:.1}%",
-        outcome.baseline_accuracy * 100.0
+        outcome.baseline.accuracy * 100.0
     );
     println!(
         "attacked accuracy: {:.1}%",
-        outcome.attacked_accuracy * 100.0
+        outcome.attacked.accuracy * 100.0
     );
     println!(
-        "relative change:   {:+.2}%  (paper worst case: {:+.2}%)",
-        outcome.relative_change_percent(),
-        outcome.kind.paper_worst_case_percent()
+        "relative change:   {:+.2}%  (paper worst case: -84.52%)",
+        outcome.relative_change_percent()
     );
     println!(
         "activity:          {:.1} → {:.1} spikes/sample",
         outcome.baseline.mean_activity, outcome.attacked.mean_activity
     );
-    Ok(())
 }

@@ -12,8 +12,8 @@
 //! * [`snn`] — behavioural spiking-neural-network library (Diehl&Cook
 //!   network, Poisson encoding, STDP).
 //! * [`data`] — synthetic digit dataset (MNIST stand-in) and IDX loader.
-//! * [`core`] — the paper's contribution: threat models, the five
-//!   power-oriented attacks, defenses, the dummy-neuron detector, and the
+//! * [`core`] — the paper's contribution: the five power-oriented
+//!   attacks as fault plans, defenses, the dummy-neuron detector, and the
 //!   parallel grid-sweep engine (work-stealing cell pool + memoised
 //!   per-seed baselines; serial and parallel sweeps are bit-identical —
 //!   see [`core::sweep`]).
@@ -21,16 +21,20 @@
 //! ## Quickstart
 //!
 //! ```no_run
-//! use neurofi::core::{Attack, ThresholdAttack};
 //! use neurofi::core::attacks::ExperimentSetup;
+//! use neurofi::core::{AttackOutcome, FaultPlan, TargetLayer};
 //!
 //! // Train the paper's Diehl&Cook SNN on synthetic digits and measure the
 //! // accuracy impact of a -20% inhibitory-layer threshold fault (Attack 3).
 //! let setup = ExperimentSetup::quick(42);
-//! let outcome = ThresholdAttack::inhibitory(-0.20, 1.0).run(&setup).unwrap();
+//! let plan = FaultPlan::layer_threshold(TargetLayer::Inhibitory, -0.20, 1.0);
+//! let outcome = AttackOutcome {
+//!     baseline: setup.baseline(),
+//!     attacked: setup.run_with_plan(&plan),
+//! };
 //! println!("baseline {:.1}%  attacked {:.1}%  (relative change {:+.1}%)",
-//!          100.0 * outcome.baseline_accuracy,
-//!          100.0 * outcome.attacked_accuracy,
+//!          100.0 * outcome.baseline.accuracy,
+//!          100.0 * outcome.attacked.accuracy,
 //!          outcome.relative_change_percent());
 //! ```
 

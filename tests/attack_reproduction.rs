@@ -8,11 +8,9 @@
 //! honest in minutes.
 
 use neurofi::analog::NeuronKind;
-use neurofi::core::attacks::{
-    Attack, ExperimentSetup, GlobalVddAttack, InputCorruptionAttack, ThresholdAttack,
-};
-use neurofi::core::defense::{defended_vdd_attack, Defense};
-use neurofi::core::PowerTransferTable;
+use neurofi::core::attacks::ExperimentSetup;
+use neurofi::core::defense::defended_vdd_attack;
+use neurofi::core::{DefenseSel, FaultPlan, PowerTransferTable, TargetLayer};
 
 fn setup() -> ExperimentSetup {
     ExperimentSetup::quick(42)
@@ -29,52 +27,53 @@ fn attack_severity_ordering_matches_paper() {
     );
 
     // Attack 3 (IL, −20%): catastrophic — the paper's −84.52%.
-    let il = ThresholdAttack::inhibitory(-0.20, 1.0)
-        .run_with_baseline(&setup, baseline)
-        .unwrap();
+    let il = setup.run_with_plan(&FaultPlan::layer_threshold(
+        TargetLayer::Inhibitory,
+        -0.20,
+        1.0,
+    ));
     assert!(
-        il.attacked_accuracy < 0.5 * baseline.accuracy,
+        il.accuracy < 0.5 * baseline.accuracy,
         "IL attack should collapse accuracy: {:.2} vs baseline {:.2}",
-        il.attacked_accuracy,
+        il.accuracy,
         baseline.accuracy
     );
 
     // Attack 2 (EL, −20%): mild — the paper's −7.32% worst case.
-    let el = ThresholdAttack::excitatory(-0.20, 1.0)
-        .run_with_baseline(&setup, baseline)
-        .unwrap();
+    let el = setup.run_with_plan(&FaultPlan::layer_threshold(
+        TargetLayer::Excitatory,
+        -0.20,
+        1.0,
+    ));
     assert!(
-        el.attacked_accuracy > 0.6 * baseline.accuracy,
+        el.accuracy > 0.6 * baseline.accuracy,
         "EL attack should stay mild: {:.2} vs baseline {:.2}",
-        el.attacked_accuracy,
+        el.accuracy,
         baseline.accuracy
     );
 
     // Attack 1 (theta ±20%): mild — the paper's ±2% band.
-    let theta = InputCorruptionAttack::new(-0.20)
-        .run_with_baseline(&setup, baseline)
-        .unwrap();
+    let theta = setup.run_with_plan(&FaultPlan::drive_only(1.0 - 0.20));
     assert!(
-        theta.attacked_accuracy > 0.6 * baseline.accuracy,
+        theta.accuracy > 0.6 * baseline.accuracy,
         "theta attack should stay mild: {:.2} vs baseline {:.2}",
-        theta.attacked_accuracy,
+        theta.accuracy,
         baseline.accuracy
     );
 
     // Attack 5 (VDD = 0.8 V): catastrophic — the paper's −84.93%.
-    let vdd = GlobalVddAttack::new(0.8)
-        .run_with_baseline(&setup, baseline)
-        .unwrap();
+    let table = PowerTransferTable::paper_nominal();
+    let vdd = setup.run_with_plan(&FaultPlan::from_vdd(0.8, &table));
     assert!(
-        vdd.attacked_accuracy < 0.5 * baseline.accuracy,
+        vdd.accuracy < 0.5 * baseline.accuracy,
         "global VDD attack should collapse accuracy: {:.2} vs baseline {:.2}",
-        vdd.attacked_accuracy,
+        vdd.accuracy,
         baseline.accuracy
     );
 
     // Severity ordering: IL and VDD are the catastrophic pair.
-    assert!(il.attacked_accuracy < el.attacked_accuracy);
-    assert!(vdd.attacked_accuracy < el.attacked_accuracy);
+    assert!(il.accuracy < el.accuracy);
+    assert!(vdd.accuracy < el.accuracy);
 }
 
 #[test]
@@ -85,15 +84,15 @@ fn bandgap_defense_recovers_global_vdd_attack() {
         &setup,
         0.8,
         &transfer,
-        &[Defense::RobustDriver, Defense::BandgapThreshold],
+        &[DefenseSel::RobustDriver, DefenseSel::BandgapThreshold],
         NeuronKind::VoltageAmplifierIf,
-    )
-    .unwrap();
+        setup.baseline(),
+    );
     assert!(
-        defended.attacked_accuracy > 0.85 * defended.baseline_accuracy,
+        defended.attacked.accuracy > 0.85 * defended.baseline.accuracy,
         "defended accuracy {:.2} should be near baseline {:.2}",
-        defended.attacked_accuracy,
-        defended.baseline_accuracy
+        defended.attacked.accuracy,
+        defended.baseline.accuracy
     );
 }
 
@@ -101,8 +100,10 @@ fn bandgap_defense_recovers_global_vdd_attack() {
 fn fraction_zero_attack_is_harmless() {
     let setup = setup();
     let baseline = setup.baseline();
-    let outcome = ThresholdAttack::inhibitory(-0.20, 0.0)
-        .run_with_baseline(&setup, baseline)
-        .unwrap();
-    assert_eq!(outcome.attacked_accuracy, baseline.accuracy);
+    let attacked = setup.run_with_plan(&FaultPlan::layer_threshold(
+        TargetLayer::Inhibitory,
+        -0.20,
+        0.0,
+    ));
+    assert_eq!(attacked.accuracy, baseline.accuracy);
 }
